@@ -12,9 +12,11 @@
 //! * [`online`] / [`offline`] — the two operating modes.
 //! * [`baselines`] — fixed pairs, CodecDB-like and TVStore-like baselines.
 //! * [`query`] — aggregation queries over reconstructed segments.
-//! * [`engine`] — the multithreaded ingest/compress/recode runtime.
-//! * [`shard`] — per-shard selector replicas and the delta-sync outcome
-//!   table behind the engine's lock-free hot path.
+//! * [`engine`] — the multithreaded ingest/compress/recode pipelines.
+//! * [`shard`] — the sharded runtime (queues, recycle pools, stealing,
+//!   parking) the engines and the fleet run on, plus the per-shard
+//!   selector replicas and delta-sync outcome table behind their
+//!   lock-free hot path.
 //! * [`fleet`] — the multi-tenant gateway: thousands of independent
 //!   streams multiplexed over the shared sharded workers.
 //! * [`frame`] — priority-aware packing of compressed segments into

@@ -1,16 +1,24 @@
-//! Sharded selector replication with delta-sync (the CStream-style
-//! parallel-scaling layer).
+//! The sharded runtime every pipeline runs on, plus selector replication
+//! with delta-sync (the CStream-style parallel-scaling layer).
 //!
-//! The engines in [`crate::engine`] run one pipeline *per shard*: each
-//! shard owns a bounded segment queue, a recycle pool, and — the part this
-//! module provides — a **local selector replica** that makes every arm
-//! decision lock-free from its own copy of the bandit state. Replicas stay
-//! coherent through a [`SharedOutcomeTable`]: per-batch outcome deltas are
-//! published with plain `fetch_add`s (no mutex anywhere on the segment hot
-//! path), and every [`ReplicaSelector::sync_interval`] decisions a replica
-//! folds the *foreign* deltas — everything other shards published since
-//! its last sync — back into its local policy via
-//! [`adaedge_bandit::Policy::fold`].
+//! `ShardedRuntime` owns the scaffolding the online engine, the offline
+//! engine and the fleet share: S shards, each with a bounded work queue
+//! and a recycle pool of segment buffers; workers that take from their
+//! own queue, steal from foreign ones and park on a [`WorkGate`] when all
+//! are empty; a producer that draws buffers from the pools and dispatches
+//! filled batches, counting spills; and one `finish` that closes the
+//! queues, wakes the workers and joins them, mapping any panic to
+//! [`AdaEdgeError::WorkerFailed`]. The pipelines plug in only their
+//! per-batch work and their extra threads (recoder, egress packer).
+//!
+//! The rest of the module is the **local selector replica** each shard
+//! uses to make every arm decision lock-free from its own copy of the
+//! bandit state. Replicas stay coherent through a [`SharedOutcomeTable`]:
+//! per-batch outcome deltas are published with plain `fetch_add`s (no
+//! mutex anywhere on the segment hot path), and every
+//! [`ReplicaSelector::sync_interval`] decisions a replica folds the
+//! *foreign* deltas — everything other shards published since its last
+//! sync — back into its local policy via [`adaedge_bandit::Policy::fold`].
 //!
 //! Staleness semantics: between syncs a replica's estimates lag the global
 //! posterior by at most `(S − 1) · sync_interval` decisions' worth of
@@ -28,11 +36,35 @@
 //! one shard's pathological data cannot quarantine a codec that works
 //! elsewhere.
 
+use crate::error::{AdaEdgeError, Result};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
 use adaedge_codecs::CodecId;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ScopedJoinHandle;
 use std::time::Duration;
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it. A
+/// lock is only poisoned by a panic outside a contained region, which
+/// already surfaces as [`AdaEdgeError::WorkerFailed`]; the threads still
+/// shutting down keep using the data.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `cv` for at most `timeout`, recovering a poisoned guard as
+/// [`lock`] does.
+pub(crate) fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
 
 /// Fixed-point scale for reward sums in the shared table: rewards lie in
 /// `[0, 1]`, so 2³² units per unit reward keeps published sums exact to
@@ -76,42 +108,40 @@ pub fn shard_pool_size(batch_cap: usize, n_shards: usize) -> usize {
     batch_cap + n_shards + 1
 }
 
-/// A parked-wake rendezvous between queue producers and sweeping
-/// consumers, replacing the old fixed 1 ms steal-backoff sleep.
+/// A parked-wake rendezvous between the threads that make work available
+/// and the threads that wait for it.
 ///
-/// The work-stealing loop's problem: a worker that sweeps every shard
-/// queue, finds them all momentarily empty and blocks on *one* queue's
-/// condvar sleeps through a batch that lands on any *other* queue —
-/// with the old `recv_timeout(1ms)` rescan, up to a millisecond per
-/// arrival (the tuning item flagged in ROADMAP). The gate gives sweepers
-/// one place to park that **every** enqueue wakes:
+/// A worker that sweeps every shard queue and finds them all empty must
+/// not sleep through a batch that lands on *any* of them; the gate gives
+/// it one place to park that every enqueue wakes. The producer parks on a
+/// gate per reason it waits (room in a full queue, a finished batch).
 ///
-/// * A producer calls [`WorkGate::notify`] after each enqueue: one
-///   `fetch_add` on the epoch plus a sleeper check — it takes the mutex
-///   only when somebody is actually parked, so the hot path with busy
-///   workers costs two uncontended atomics.
-/// * A consumer snapshots [`WorkGate::epoch`], registers as a sleeper,
-///   re-sweeps the queues, and only then parks via [`WorkGate::park`],
-///   which re-checks the epoch under the gate lock before sleeping.
+/// * A waker calls [`WorkGate::notify`]: one `fetch_add` on the epoch plus
+///   a sleeper check — it takes the mutex only when somebody is actually
+///   parked, so the hot path with busy consumers costs two uncontended
+///   atomics.
+/// * A waiter calls [`WorkGate::park_unless`], which registers it as a
+///   sleeper, snapshots the epoch, re-checks for work and only then parks,
+///   re-checking the epoch under the gate lock before sleeping.
 ///
-/// The sleeper registration *precedes* the final re-sweep and the
-/// producer bumps the epoch *before* checking for sleepers, so every
-/// interleaving either lets the consumer find the batch in its re-sweep
-/// or leaves the epoch visibly changed when it tries to park — there is
-/// no window where an enqueue slips between sweep and sleep unnoticed.
-/// A coarse safety timeout (50 ms) bounds the damage of any future
-/// protocol regression without ever being load-bearing.
+/// The sleeper registration *precedes* the final re-check and the waker
+/// bumps the epoch *before* checking for sleepers, so every interleaving
+/// either lets the waiter find the work in its re-check or leaves the
+/// epoch visibly changed when it tries to park — there is no window where
+/// a notify slips between check and sleep unnoticed. A coarse safety
+/// timeout (50 ms) bounds the damage of any future protocol regression
+/// without ever being load-bearing.
 #[derive(Debug, Default)]
 pub struct WorkGate {
-    /// Bumped by every enqueue; consumers park against a snapshot of it.
+    /// Bumped by every notify; waiters park against a snapshot of it.
     epoch: AtomicU64,
-    /// Consumers currently between registration and wake.
+    /// Waiters currently between registration and wake.
     sleepers: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
 }
 
-/// Safety net for [`WorkGate::park`]: never load-bearing (the epoch
+/// Safety net for [`WorkGate::park_unless`]: never load-bearing (the epoch
 /// protocol guarantees wakeups), only bounding a hypothetical regression.
 const PARK_SAFETY_TIMEOUT: Duration = Duration::from_millis(50);
 
@@ -121,46 +151,373 @@ impl WorkGate {
         Self::default()
     }
 
-    /// Current epoch; take a snapshot *before* sweeping the queues, then
-    /// hand it to [`WorkGate::park`] if the sweep came up empty.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Announce intent to park. Must be called *before* the final
-    /// pre-park queue sweep so a concurrent [`WorkGate::notify`] is
-    /// guaranteed to see the sleeper; pair with [`WorkGate::park`] or
-    /// [`WorkGate::cancel_park`].
-    pub fn register_sleeper(&self) {
+    /// One park round: register as a sleeper, run `check`, and park unless
+    /// it found something — until the epoch moves past the snapshot taken
+    /// before the check, or the safety timeout lapses. Returns what `check`
+    /// found; `None` means the caller should look again.
+    pub fn park_unless<R>(&self, check: impl FnOnce() -> Option<R>) -> Option<R> {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Withdraw a [`WorkGate::register_sleeper`] after the re-sweep found
-    /// work (no park happened).
-    pub fn cancel_park(&self) {
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Park until the epoch moves past `ticket` (an enqueue happened since
-    /// the snapshot) or the safety timeout lapses. The caller must have
-    /// registered as a sleeper first; the registration is consumed.
-    pub fn park(&self, ticket: u64) {
-        let mut guard = self.lock.lock();
-        if self.epoch.load(Ordering::SeqCst) == ticket {
-            self.cv.wait_for(&mut guard, PARK_SAFETY_TIMEOUT);
+        let ticket = self.epoch.load(Ordering::SeqCst);
+        let found = check();
+        if found.is_none() {
+            let guard = lock(&self.lock);
+            if self.epoch.load(Ordering::SeqCst) == ticket {
+                drop(wait_timeout(&self.cv, guard, PARK_SAFETY_TIMEOUT));
+            }
         }
-        drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        found
     }
 
-    /// Signal that work was enqueued (or that the pipeline is shutting
-    /// down and parked consumers should re-check their queues).
+    /// Signal that work became available (or that the pipeline is
+    /// shutting down and parked waiters should re-check).
     pub fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.lock.lock();
+            let _guard = lock(&self.lock);
             self.cv.notify_all();
         }
+    }
+}
+
+/// A set of segment buffers: one recycle-pool entry.
+pub(crate) type Buffers = Vec<Vec<f64>>;
+
+/// A unit of work: segment buffers from shard `home`'s recycle pool plus
+/// the pipeline's payload. It travels on `home`'s queue, and its buffers
+/// return to `home`'s pool even when a foreign worker stole it.
+pub(crate) struct Batch<T> {
+    /// The shard whose pool owns the buffers and whose queue carries them.
+    pub home: usize,
+    /// The filled segment buffers.
+    pub segs: Buffers,
+    /// Pipeline payload (the fleet's stream handle; `()` in the engines).
+    pub meta: T,
+}
+
+/// S shards, each a bounded work queue plus a recycle pool, shared by one
+/// producer (the calling thread) and S workers; [`Self::run`] is the
+/// whole lifecycle. Work queues are the only multi-consumer queues
+/// (workers steal): `Mutex<VecDeque>` rings woken only through the `work`
+/// gate. Recycle pools have one consumer, the producer: `mpsc` channels.
+pub(crate) struct ShardedRuntime<T> {
+    batch_segments: usize,
+    batch_cap: usize,
+    pool: usize,
+    queues: Vec<Mutex<VecDeque<Batch<T>>>>,
+    closed: AtomicBool,
+    live_workers: AtomicUsize,
+    /// Workers park here; pushes and the close notify it.
+    work: WorkGate,
+    /// The producer parks here for room in a full queue; a pop from a
+    /// full queue and a worker exit notify it.
+    room: WorkGate,
+    /// The producer parks here in [`Producer::wait_until`];
+    /// [`Worker::notify_producer`] and a worker exit notify it.
+    progress: WorkGate,
+    stolen: AtomicU64,
+    spills: AtomicU64,
+}
+
+impl<T> ShardedRuntime<T> {
+    /// Size a runtime: `threads` shards (`0` = one per core), K =
+    /// `batch_segments` segments per batch. The queues are bounded in *batches*; `buffer_segments` keeps its
+    /// meaning (segments of in-flight buffer) by dividing through K and
+    /// splitting the result across the shards. The floor of two batches
+    /// per shard lets a worker drain one batch while the producer parks
+    /// the next — a single-slot queue serializes the two stages.
+    pub fn new(threads: usize, buffer_segments: usize, batch_segments: usize) -> Self {
+        let n_shards = resolve_threads(threads);
+        let batch_segments = batch_segments.max(1);
+        let batch_cap = buffer_segments
+            .max(1)
+            .div_ceil(batch_segments)
+            .div_ceil(n_shards)
+            .max(2);
+        Self {
+            batch_segments,
+            batch_cap,
+            pool: shard_pool_size(batch_cap, n_shards),
+            queues: (0..n_shards)
+                .map(|_| Mutex::new(VecDeque::with_capacity(batch_cap)))
+                .collect(),
+            closed: AtomicBool::new(false),
+            live_workers: AtomicUsize::new(0),
+            work: WorkGate::new(),
+            room: WorkGate::new(),
+            progress: WorkGate::new(),
+            stolen: AtomicU64::new(0),
+            spills: AtomicU64::new(0),
+        }
+    }
+
+    /// Shards (= worker threads).
+    pub fn shards(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Batches a worker took from a foreign shard's queue.
+    pub fn stolen_batches(&self) -> u64 {
+        self.stolen.load(Ordering::Relaxed)
+    }
+
+    /// Segments in batches that found their queue full at dispatch.
+    pub fn spills(&self) -> u64 {
+        self.spills.load(Ordering::Relaxed)
+    }
+
+    /// Close the queues, wake every parked worker so it drains what is
+    /// left and exits, and join them all.
+    fn finish<R>(
+        &self,
+        workers: Vec<ScopedJoinHandle<'_, R>>,
+        stage: &'static str,
+    ) -> Result<Vec<R>> {
+        self.close();
+        join_all(workers, stage)
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        self.work.notify();
+    }
+
+    /// One non-blocking sweep for the worker of shard `me`: its own queue
+    /// first, then a steal pass over foreign queues, starting just past
+    /// its own shard so contending stealers fan out over different
+    /// victims.
+    fn take(&self, me: usize) -> Option<Batch<T>> {
+        let n = self.queues.len();
+        for off in 0..n {
+            let j = (me + off) % n;
+            let mut q = lock(&self.queues[j]);
+            let was_full = q.len() >= self.batch_cap;
+            if let Some(batch) = q.pop_front() {
+                drop(q);
+                if was_full {
+                    self.room.notify();
+                }
+                if j != me {
+                    self.stolen.fetch_add(1, Ordering::Relaxed);
+                }
+                return Some(batch);
+            }
+        }
+        None
+    }
+}
+
+impl<T: Send> ShardedRuntime<T> {
+    /// Run once: seed every recycle pool with `segment_len`-capacity
+    /// buffers, spawn one worker per shard running `work`, run `produce`
+    /// on the calling thread, then finish. Returns each worker's result
+    /// (in shard order) and the producer's. A worker that dies outside its
+    /// contained region cannot hang the producer: its exit wakes the
+    /// producer, whose waits then return, and `finish` reports the death.
+    pub fn run<R: Send, P>(
+        &self,
+        segment_len: usize,
+        stage: &'static str,
+        work: impl Fn(&mut Worker<'_, T>) -> R + Sync,
+        produce: impl FnOnce(&mut Producer<'_, T>) -> P,
+    ) -> Result<(Vec<R>, P)> {
+        let n = self.shards();
+        let mut senders = Vec::with_capacity(n);
+        let mut pools = Vec::with_capacity(n);
+        for _ in 0..n {
+            // Bounded by the pool size, so a recycle send never blocks and
+            // the channel never allocates after seeding.
+            let (tx, rx) = sync_channel::<Buffers>(self.pool);
+            for _ in 0..self.pool {
+                let bufs = (0..self.batch_segments)
+                    .map(|_| Vec::with_capacity(segment_len))
+                    .collect();
+                tx.try_send(bufs)
+                    .expect("a fresh pool has room for its seed");
+            }
+            senders.push(tx);
+            pools.push(rx);
+        }
+        self.live_workers.store(n, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            let work = &work;
+            let handles: Vec<_> = (0..n)
+                .map(|me| {
+                    let mut worker = Worker {
+                        rt: self,
+                        me,
+                        recycle: senders.clone(),
+                    };
+                    scope.spawn(move || work(&mut worker))
+                })
+                .collect();
+            // Only the workers hold senders now: once they are all gone a
+            // blocked `acquire` fails instead of waiting forever.
+            drop(senders);
+            let mut producer = Producer {
+                rt: self,
+                pools,
+                segment_len,
+            };
+            let out = produce(&mut producer);
+            drop(producer);
+            Ok((self.finish(handles, stage)?, out))
+        })
+    }
+}
+
+/// Join every handle before deciding the outcome, so one dead thread
+/// cannot leave the scope with unjoined panics; any panic becomes
+/// [`AdaEdgeError::WorkerFailed`] naming `stage`.
+pub(crate) fn join_all<R>(
+    handles: Vec<ScopedJoinHandle<'_, R>>,
+    stage: &'static str,
+) -> Result<Vec<R>> {
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    joined
+        .into_iter()
+        .collect::<std::result::Result<_, _>>()
+        .map_err(|_| AdaEdgeError::WorkerFailed { stage })
+}
+
+/// A worker's handle on the runtime, owned by its thread.
+pub(crate) struct Worker<'r, T> {
+    rt: &'r ShardedRuntime<T>,
+    me: usize,
+    recycle: Vec<SyncSender<Buffers>>,
+}
+
+impl<T> Worker<'_, T> {
+    /// This worker's shard.
+    pub fn shard(&self) -> usize {
+        self.me
+    }
+
+    /// The next batch: own queue, then a steal sweep, then a park on the
+    /// runtime's work gate that any enqueue ends. `None` once the queues
+    /// are closed and drained.
+    pub fn next_batch(&mut self) -> Option<Batch<T>> {
+        let rt = self.rt;
+        loop {
+            // Read the flag before sweeping: the producer closes only after
+            // its last push, so a close seen here means the sweep saw every
+            // batch there will ever be.
+            let closed = rt.closed.load(Ordering::SeqCst);
+            if let Some(batch) = rt.take(self.me) {
+                return Some(batch);
+            }
+            if closed {
+                return None;
+            }
+            if let Some(batch) = rt.work.park_unless(|| rt.take(self.me)) {
+                return Some(batch);
+            }
+        }
+    }
+
+    /// Return a drained batch's buffers to shard `home`'s recycle pool
+    /// (fails harmlessly once the producer is done).
+    pub fn recycle(&self, home: usize, segs: Buffers) {
+        let _ = self.recycle[home].try_send(segs);
+    }
+
+    /// Wake the producer if it waits in [`Producer::wait_until`].
+    pub fn notify_producer(&self) {
+        self.rt.progress.notify();
+    }
+}
+
+impl<T> Drop for Worker<'_, T> {
+    fn drop(&mut self) {
+        // Runs on a panic too, so a producer waiting on this worker
+        // re-checks and sees it gone.
+        self.rt.live_workers.fetch_sub(1, Ordering::SeqCst);
+        self.rt.room.notify();
+        self.rt.progress.notify();
+    }
+}
+
+/// The producer's handle on the runtime: the recycle pools' receiving
+/// ends. Dropping it closes the queues, so a panicking producer still
+/// releases the workers.
+pub(crate) struct Producer<'r, T> {
+    rt: &'r ShardedRuntime<T>,
+    pools: Vec<Receiver<Buffers>>,
+    segment_len: usize,
+}
+
+impl<T> Producer<'_, T> {
+    /// Take a recycled buffer set resized to exactly `n` buffers,
+    /// sweeping the pools from shard `start` and blocking on `start` only
+    /// when every pool is momentarily drained (the per-shard pool bound
+    /// guarantees a set comes back). Returns the supplying shard, or
+    /// `None` once every worker is gone.
+    pub fn acquire(&mut self, start: usize, n: usize) -> Option<(usize, Buffers)> {
+        let s = self.pools.len();
+        let found = (0..s)
+            .map(|off| (start + off) % s)
+            .find_map(|sh| self.pools[sh].try_recv().ok().map(|bufs| (sh, bufs)));
+        let (sh, mut segs) = match found {
+            Some(got) => got,
+            None => (start, self.pools[start].recv().ok()?),
+        };
+        // Shrink for a final partial batch, regrow a set an earlier one
+        // shrank, so short batches cannot permanently shed pool buffers.
+        let segment_len = self.segment_len;
+        segs.truncate(n);
+        segs.resize_with(n, || Vec::with_capacity(segment_len));
+        Some((sh, segs))
+    }
+
+    /// Enqueue `batch` on its home shard's queue. A full queue counts its
+    /// segments as spilled and waits for room. Returns `false` (batch
+    /// dropped) if a worker died meanwhile.
+    pub fn dispatch(&mut self, batch: Batch<T>) -> bool {
+        let (rt, home) = (self.rt, batch.home);
+        let mut queue = lock(&rt.queues[home]);
+        if queue.len() >= rt.batch_cap {
+            drop(queue);
+            rt.spills
+                .fetch_add(batch.segs.len() as u64, Ordering::Relaxed);
+            if !self.wait_on(&rt.room, || lock(&rt.queues[home]).len() < rt.batch_cap) {
+                return false;
+            }
+            // The producer is the only pusher, so the room it saw stays.
+            queue = lock(&rt.queues[home]);
+        }
+        queue.push_back(batch);
+        drop(queue);
+        rt.work.notify();
+        true
+    }
+
+    /// Park until `ready` holds; a worker wakes the producer through
+    /// [`Worker::notify_producer`]. Returns `false` once any worker has
+    /// died: the run ends in `WorkerFailed` anyway, and a batch stranded
+    /// in the dead worker's hands might be exactly what `ready` waits for.
+    pub fn wait_until(&self, ready: impl FnMut() -> bool) -> bool {
+        self.wait_on(&self.rt.progress, ready)
+    }
+
+    /// [`Self::wait_until`] on `gate`: one gate per reason to wait, so a
+    /// wakeup for one never costs the other a spurious round trip.
+    fn wait_on(&self, gate: &WorkGate, mut ready: impl FnMut() -> bool) -> bool {
+        // Workers exit normally only after the producer is done, so while
+        // it runs a missing worker is a dead one.
+        let all_alive = || self.rt.live_workers.load(Ordering::SeqCst) == self.pools.len();
+        while !ready() {
+            if !all_alive() {
+                return false;
+            }
+            gate.park_unless(|| (ready() || !all_alive()).then_some(()));
+        }
+        true
+    }
+}
+
+impl<T> Drop for Producer<'_, T> {
+    fn drop(&mut self) {
+        self.rt.close();
     }
 }
 
@@ -179,8 +536,8 @@ struct ArmCell {
 ///
 /// Every field is an atomic counter: the segment hot path touches it only
 /// through `fetch_add` / `fetch_or`, never a lock. The table also carries
-/// the engine's contention and work-stealing observability counters so a
-/// report can *prove* the hot path stayed lock-free.
+/// the selector contention counter so a report can *prove* the hot path
+/// stayed lock-free.
 #[derive(Debug)]
 pub struct SharedOutcomeTable {
     arms: Vec<ArmCell>,
@@ -193,8 +550,6 @@ pub struct SharedOutcomeTable {
     /// code that reintroduces a shared selector lock must count it here,
     /// and the shard-equivalence suite asserts the report shows zero.
     selector_locks: AtomicU64,
-    /// Batches taken from a foreign shard's queue (work-stealing).
-    stolen_batches: AtomicU64,
 }
 
 impl SharedOutcomeTable {
@@ -207,7 +562,6 @@ impl SharedOutcomeTable {
             quarantined_bits: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
             selector_locks: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
         }
     }
 
@@ -268,14 +622,6 @@ impl SharedOutcomeTable {
             .sum()
     }
 
-    /// Total successful pulls across all arms and shards.
-    pub fn pull_total(&self) -> u64 {
-        self.arms
-            .iter()
-            .map(|c| c.pulls.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Delta-sync folds performed so far.
     pub fn syncs(&self) -> u64 {
         self.syncs.load(Ordering::Relaxed)
@@ -291,16 +637,6 @@ impl SharedOutcomeTable {
     /// up in the report the equivalence suite pins to zero.
     pub fn count_selector_lock(&self) {
         self.selector_locks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batches stolen from foreign shard queues.
-    pub fn stolen_batches(&self) -> u64 {
-        self.stolen_batches.load(Ordering::Relaxed)
-    }
-
-    /// Count one stolen batch.
-    pub fn count_steal(&self) {
-        self.stolen_batches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -582,15 +918,12 @@ mod tests {
         let gate = WorkGate::new();
         let start = std::time::Instant::now();
         std::thread::scope(|scope| {
-            let ticket = gate.epoch();
-            gate.register_sleeper();
-            // (re-sweep would go here and find nothing)
             scope.spawn(|| {
                 // Give the consumer a moment to actually park.
                 std::thread::sleep(Duration::from_millis(5));
                 gate.notify();
             });
-            gate.park(ticket);
+            assert_eq!(gate.park_unless(|| None::<()>), None);
         });
         // Far below the 50 ms safety timeout: the notify woke us.
         assert!(start.elapsed() < Duration::from_millis(45));
@@ -599,22 +932,131 @@ mod tests {
     #[test]
     fn work_gate_notify_between_snapshot_and_park_prevents_sleep() {
         let gate = WorkGate::new();
-        let ticket = gate.epoch();
-        gate.register_sleeper();
-        gate.notify(); // enqueue lands after the sweep started
         let start = std::time::Instant::now();
-        gate.park(ticket); // epoch moved: must return immediately
+        // The notify lands after the ticket snapshot, inside the re-check:
+        // the epoch moved, so the park must return immediately.
+        gate.park_unless(|| {
+            gate.notify();
+            None::<()>
+        });
         assert!(start.elapsed() < Duration::from_millis(45));
     }
 
     #[test]
-    fn work_gate_cancel_park_balances_sleepers() {
+    fn work_gate_found_work_cancels_the_park() {
         let gate = WorkGate::new();
-        gate.register_sleeper();
-        gate.cancel_park();
-        // No sleepers: notify must stay on the cheap path and not deadlock.
+        assert_eq!(gate.park_unless(|| Some(7)), Some(7));
+        // No sleepers left: notify must stay on the cheap path.
+        assert_eq!(gate.sleepers.load(Ordering::SeqCst), 0);
         gate.notify();
-        assert_eq!(gate.epoch(), 1);
+        assert_eq!(gate.epoch.load(Ordering::SeqCst), 1);
+    }
+
+    fn push(rt: &ShardedRuntime<()>, home: usize) {
+        lock(&rt.queues[home]).push_back(Batch {
+            home,
+            segs: Vec::new(),
+            meta: (),
+        });
+    }
+
+    #[test]
+    fn runtime_counts_only_foreign_takes_as_steals() {
+        let rt = ShardedRuntime::<()>::new(2, 8, 1);
+        push(&rt, 0);
+        assert_eq!(rt.take(0).map(|b| b.home), Some(0));
+        assert_eq!(rt.stolen_batches(), 0, "an own-queue take is not a steal");
+        push(&rt, 1);
+        assert_eq!(rt.take(0).map(|b| b.home), Some(1));
+        assert_eq!(rt.stolen_batches(), 1, "a foreign take is a steal");
+        assert!(rt.take(1).is_none());
+        assert_eq!(rt.stolen_batches(), 1);
+    }
+
+    #[test]
+    fn runtime_full_queue_counts_a_spill_and_waits_for_room() {
+        // One shard, two-batch queue: the third dispatch spills and only
+        // lands once the worker, held back until that spill, makes room.
+        let rt = ShardedRuntime::<()>::new(1, 1, 1);
+        let (taken, dispatched) = rt
+            .run(
+                4,
+                "test worker",
+                |w| {
+                    while rt.spills() == 0 {
+                        std::thread::yield_now();
+                    }
+                    let mut taken = 0;
+                    while let Some(b) = w.next_batch() {
+                        taken += 1;
+                        w.recycle(b.home, b.segs);
+                    }
+                    taken
+                },
+                |p| {
+                    (0..3)
+                        .filter(|_| {
+                            let (home, segs) = p.acquire(0, 1).expect("pool");
+                            p.dispatch(Batch {
+                                home,
+                                segs,
+                                meta: (),
+                            })
+                        })
+                        .count()
+                },
+            )
+            .unwrap();
+        assert_eq!(dispatched, 3);
+        assert_eq!(taken, vec![3]);
+        assert_eq!(rt.spills(), 1);
+    }
+
+    #[test]
+    fn runtime_worker_panic_fails_the_run_without_hanging_the_producer() {
+        // Every worker dies outside any contained region after taking one
+        // batch. The producer must still return — its pools and queues go
+        // quiet for good — and `finish` must map the panics.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = ShardedRuntime::<()>::new(2, 2, 1);
+            let result = rt.run(
+                4,
+                "test worker",
+                |w| {
+                    if w.next_batch().is_some() {
+                        panic!("worker died outside the contained region");
+                    }
+                },
+                |p| {
+                    let mut dispatched = 0;
+                    for i in 0..1000 {
+                        let Some((home, segs)) = p.acquire(i % 2, 1) else {
+                            break;
+                        };
+                        if !p.dispatch(Batch {
+                            home,
+                            segs,
+                            meta: (),
+                        }) {
+                            break;
+                        }
+                        dispatched += 1;
+                    }
+                    dispatched
+                },
+            );
+            done_tx.send(result.map(|(_, n)| n)).unwrap();
+        });
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the producer hung after every worker died");
+        assert!(matches!(
+            result,
+            Err(AdaEdgeError::WorkerFailed {
+                stage: "test worker"
+            })
+        ));
     }
 
     #[test]

@@ -605,8 +605,10 @@ impl Spool {
     /// in capture order. Syncs first so the durable horizon includes
     /// everything appended so far. The replayer snapshots segment
     /// metadata and reads files independently, so the caller may continue
-    /// to [`Spool::ack`] (GC only removes fully-ACKed segments, which the
-    /// replay cursor has already passed).
+    /// to append (a rotation renames a snapshot segment, which the
+    /// replayer still finds by `base_seq`) and to [`Spool::ack`] (GC only
+    /// removes fully-ACKed segments, which the replay cursor has already
+    /// passed).
     pub fn replayer(&mut self, from_seq: u64) -> Result<Replayer, SpoolError> {
         self.sync()?;
         let cap_seq = self.durable_seq;
@@ -627,6 +629,7 @@ impl Spool {
         }
         let last_seq = segs.last().map(|s| s.last_seq).unwrap_or(from_seq);
         Ok(Replayer {
+            dir: self.cfg.dir.clone(),
             segs,
             idx: 0,
             reader: None,
@@ -798,6 +801,7 @@ impl Spool {
 /// One replay-snapshot segment.
 #[derive(Debug, Clone)]
 struct ReplaySeg {
+    /// The file as named at the snapshot.
     path: PathBuf,
     base_seq: u64,
     last_seq: u64,
@@ -825,6 +829,7 @@ pub enum ReplayItem {
 /// the caller: pull as many items per tick as the egress budget allows.
 #[derive(Debug)]
 pub struct Replayer {
+    dir: PathBuf,
     segs: Vec<ReplaySeg>,
     idx: usize,
     reader: Option<SegReader>,
@@ -986,7 +991,13 @@ impl Iterator for Replayer {
             }
             let seg = seg.clone();
             self.idx += 1;
-            match File::open(&seg.path) {
+            // An `append` may have rotated the snapshot's open segment
+            // since, renaming it from `.open` to `.closed` (never back), so
+            // a segment missing under its snapshot name is looked up by
+            // `base_seq` as closed.
+            let file = File::open(&seg.path)
+                .or_else(|_| File::open(segment_path(&self.dir, seg.base_seq, true)));
+            match file {
                 Ok(file) => {
                     let mut r = BufReader::new(file);
                     let mut header = [0u8; HEADER_BYTES as usize];
@@ -1122,6 +1133,29 @@ mod tests {
         let replayed = records(&rep.collect::<Vec<_>>());
         assert_eq!(replayed, (5..=12).collect::<Vec<_>>());
         // A second rewind on the exhausted iterator revives it too.
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replayer_survives_rotation_of_its_open_segment() {
+        // The snapshot's open segment is renamed to `.closed` by the
+        // rotation the later appends trigger; its records are intact and
+        // must replay as records, not as a gap.
+        let dir = tmpdir("rotate-under-replay");
+        let mut c = cfg(&dir);
+        c.segment_max_bytes = 4096;
+        let mut spool = Spool::open(c).unwrap();
+        for i in 0..4u64 {
+            spool.append(i, &[i as u8; 500]).unwrap();
+        }
+        let rep = spool.replayer(0).unwrap();
+        for i in 4..12u64 {
+            spool.append(i, &[i as u8; 500]).unwrap();
+        }
+        assert_eq!(spool.stats().segments, 2, "the appends must rotate");
+        let items: Vec<ReplayItem> = rep.collect();
+        assert_eq!(items.len(), 4, "{items:?}");
+        assert_eq!(records(&items), vec![1, 2, 3, 4]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -37,6 +37,9 @@ cargo test --release -q -p adaedge-core --test batch_equivalence
 echo "==> shard equivalence + delta-sync staleness (release)"
 cargo test --release -q -p adaedge-core --test shard_equivalence
 
+echo "==> sharded runtime unit tests (stealing, spills, worker failure, release)"
+cargo test --release -q -p adaedge-core shard::
+
 echo "==> fleet equivalence (1-stream bit-identity, interleaving, evict/restore)"
 cargo test --release -q -p adaedge-core --test fleet_equivalence
 
