@@ -1,11 +1,12 @@
 //! Uplink goodput under loss: does pressure-driven degradation pay?
 //!
 //! A virtual-time closed loop: a sensor produces one 256-point segment
-//! every few ticks, a selector picks the codec, and the compressed
-//! record is offered to a real `Uplink` over a `FaultyLink` with a hard
-//! capacity of one frame per tick. Because the link — not the CPU — is
-//! the bottleneck, every byte of compression ratio buys goodput, and
-//! every retransmit burned on a badly-compressed segment costs it.
+//! every few ticks, a selector picks the codec, and `run_session` spools
+//! the compressed record and drains it through a real `Uplink` over a
+//! `FaultyLink` with a hard capacity of one frame per tick. Because the
+//! link — not the CPU — is the bottleneck, every byte of compression
+//! ratio buys goodput, and every retransmit burned on a badly-compressed
+//! segment costs it.
 //!
 //! Three policies compete at each loss rate (0 / 1 / 5 / 20 %):
 //!
@@ -27,11 +28,12 @@ use adaedge_bench::harness::{median, stddev};
 use adaedge_codecs::{CodecId, CodecRegistry};
 use adaedge_core::selector::ArmOutcome;
 use adaedge_core::{
-    BackoffConfig, BreakerConfig, FaultSpec, FaultyLink, FrameConfig, LosslessSelector,
-    SelectorConfig, Transport, Uplink, UplinkConfig,
+    run_session, BackoffConfig, BreakerConfig, Capture, FaultSpec, FaultyLink, FrameConfig,
+    LosslessSelector, SelectorConfig, Uplink, UplinkConfig,
 };
 use adaedge_datasets::{SegmentSource, SineStream};
-use std::collections::VecDeque;
+use adaedge_storage::spool::{Spool, SpoolConfig};
+use std::time::Duration;
 
 const SEG_LEN: usize = 256;
 const RAW_BYTES: usize = SEG_LEN * 8;
@@ -101,23 +103,23 @@ fn run_once(policy: Policy, loss: f64, seed: u64, ticks: u64) -> Sample {
     let mut rx = adaedge_core::Receiver::new();
     let mut link = FaultyLink::new(FaultSpec::lossy(2, loss), seed.wrapping_mul(0x9E37_79B9));
     let mut stream = SineStream::new(SEG_LEN, 0.1, 4, seed);
+    let dir = std::env::temp_dir().join(format!("adaedge-uplink-goodput-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut spool_cfg = SpoolConfig::new(&dir);
+    spool_cfg.sync_interval = Duration::from_secs(3600);
+    let mut spool = Spool::open(spool_cfg).expect("open the spool");
 
-    let mut queue: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-    let mut produced = 0u64;
     let mut out = Sample::default();
-
-    for now in 0..ticks {
-        for frame in link.poll_frames(now) {
-            if let Some(ack) = rx.on_frame(&frame) {
-                link.send_ack(now, ack);
+    let report = run_session(
+        &mut spool,
+        &mut up,
+        &mut rx,
+        &mut link,
+        ticks,
+        |now| {
+            if !now.is_multiple_of(PRODUCE_EVERY) {
+                return Capture::Idle;
             }
-        }
-        out.segments += rx.take_ordered().len() as u64;
-        up.tick(now, &mut link);
-        debug_assert!(up.take_rewind().is_empty(), "breaker must stay closed");
-
-        if now.is_multiple_of(PRODUCE_EVERY) {
-            produced += 1;
             let seg = stream.next_segment();
             let (arm, codec) = match policy {
                 Policy::FixedSnappy => (usize::MAX, CodecId::Snappy),
@@ -138,18 +140,18 @@ fn run_once(policy: Policy, loss: f64, seed: u64, ticks: u64) -> Sample {
             if policy != Policy::FixedSnappy {
                 selector.report_batch(arm, &[ArmOutcome::Ratio(block.ratio())]);
             }
-            queue.push_back((produced, block.payload));
-        }
+            Capture::Record(block.payload)
+        },
+        |_, _| {},
+    )
+    .expect("spool I/O");
+    drop(spool);
+    let _ = std::fs::remove_dir_all(&dir);
+    debug_assert_eq!(report.uplink.trips, 0, "breaker must stay closed");
 
-        while !queue.is_empty() && up.can_accept(now) {
-            let (seq, payload) = queue.pop_front().expect("non-empty");
-            assert!(up.offer(now, seq, payload));
-        }
-        up.set_external_backlog(queue.len());
-    }
-
-    out.retries = up.counters().retries;
-    out.backlog_end = up.backlog() as u64 + queue.len() as u64;
+    out.segments = report.delivered_records;
+    out.retries = report.uplink.retries;
+    out.backlog_end = up.backlog() as u64 + report.spool_backlog;
     out.goodput = (out.segments as usize * RAW_BYTES) as f64 / ticks as f64;
     out
 }

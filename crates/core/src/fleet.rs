@@ -43,7 +43,7 @@ use crate::error::{AdaEdgeError, Result};
 use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamEgress};
 use crate::selector::{ArmOutcome, LosslessSelector, SelectorConfig};
 use crate::shard::{join_all, lock, Batch, Producer, ShardedRuntime, Worker};
-use crate::uplink::{LinkPressure, PressureGauge, UplinkRollup};
+use crate::uplink::{LinkPressure, PressureGauge};
 use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use adaedge_datasets::SegmentSource;
 use adaedge_storage::posterior::{load_posteriors, save_posteriors, StreamPosterior};
@@ -411,24 +411,8 @@ pub struct FleetReport {
     /// link pressure (pressure-biased selection; see
     /// [`FleetConfig::pressure`]). Zero when no gauge is attached.
     pub degraded_batches: u64,
-    /// Uplink transport rollup: retries, breaker trips, replay outcomes.
-    /// Populated by the caller via [`FleetReport::absorb_session`] /
-    /// [`FleetReport::absorb_replay`] after driving the transport.
-    pub uplink: UplinkRollup,
     /// Per-stream rollups, sorted by id.
     pub stream_reports: Vec<StreamReport>,
-}
-
-impl FleetReport {
-    /// Fold an uplink session's transport counters into this report.
-    pub fn absorb_session(&mut self, session: &crate::uplink::SessionReport) {
-        self.uplink.absorb_session(session);
-    }
-
-    /// Fold a spool reconnect-replay report into this report.
-    pub fn absorb_replay(&mut self, replay: &crate::spooling::ReplayReport) {
-        self.uplink.absorb_replay(replay);
-    }
 }
 
 /// The fleet's payload on a runtime [`Batch`]: the stream's handle rides
@@ -917,7 +901,6 @@ pub fn run_fleet(specs: Vec<StreamSpec>, config: &FleetConfig) -> Result<FleetRe
             payload_cap: config.frame.payload_cap,
         },
         degraded_batches: degraded_total.load(Ordering::Relaxed),
-        uplink: UplinkRollup::default(),
         stream_reports,
     })
 }
@@ -1107,7 +1090,6 @@ mod tests {
         // No gauge: zero degraded batches, the pre-uplink behavior.
         let baseline = run_fleet(mk_specs(), &FleetConfig::default()).unwrap();
         assert_eq!(baseline.degraded_batches, 0);
-        assert_eq!(baseline.uplink, UplinkRollup::default());
         // A gauge pinned at Critical: every batch decision is degraded and
         // selection collapses to the deterministic best-ratio argmax.
         let gauge = PressureGauge::new();

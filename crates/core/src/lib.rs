@@ -21,11 +21,12 @@
 //!   streams multiplexed over the shared sharded workers.
 //! * [`frame`] — priority-aware packing of compressed segments into
 //!   bounded transport frames.
-//! * [`spooling`] — store-and-forward: durable spool sink for disconnect
-//!   egress and ACK-gated reconnect replay through the frame packer.
+//! * [`spooling`] — store-and-forward: spooling disconnect egress as
+//!   encoded blocks, and the receiver's exactly-once ingest ledger.
 //! * [`uplink`] — fault-tolerant transport: ACK windows, retry/backoff,
-//!   circuit breaking, the `FaultyLink` chaos transport, and the
-//!   `LinkPressure` degradation signal that biases the selectors.
+//!   circuit breaking, the `FaultyLink` chaos transport, the
+//!   `LinkPressure` degradation signal that biases the selectors, and
+//!   `run_session`, which drains the spool through all of it.
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -55,14 +56,11 @@ pub use selector::{
     SelectorConfig, ELEVATED_EXPLORE_SCALE,
 };
 pub use shard::{resolve_threads, shard_pool_size, ReplicaSelector, SharedOutcomeTable, WorkGate};
-pub use spooling::{
-    decode_block, encode_block, run_reconnect, spool_offline_egress, IngestLedger, RelayError,
-    ReplayConfig, ReplayReport, SpoolSink,
-};
+pub use spooling::{decode_block, encode_block, spool_offline_egress, IngestLedger, RelayError};
 pub use targets::{OptimizationTarget, RewardEvaluator, TargetComponent};
 pub use uplink::{
-    run_session, Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, CircuitBreaker,
+    run_session, Ack, Backoff, BackoffConfig, BreakerConfig, BreakerState, Capture, CircuitBreaker,
     FaultSpec, FaultyLink, FrameKind, LinkPressure, PerfectLink, Phase, PressureGauge,
     PressureWatermarks, Receiver, SessionReport, Transport, Uplink, UplinkConfig, UplinkCounters,
-    UplinkFrame, UplinkRollup, WireFragment,
+    UplinkFrame, WireFragment,
 };

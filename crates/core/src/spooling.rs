@@ -1,21 +1,22 @@
-//! Store-and-forward wiring between the offline engine and the durable
-//! segment spool (DESIGN.md §6d).
+//! Store-and-forward wiring between the engines and the durable segment
+//! spool (DESIGN.md §6d).
 //!
 //! During a disconnect the offline pipeline keeps compressing under its
-//! storage budget; egress drains land in the [`adaedge_storage::Spool`]
-//! as CRC-framed, sequenced records via [`SpoolSink`]. On reconnect,
-//! [`run_reconnect`] replays the backlog **in capture order at a
-//! controlled rate** through the existing [`FramePacker`], while the
-//! ingest side's [`IngestLedger`] dedups duplicates idempotently and
-//! reports `acked_seq` (highest contiguous durably-ingested sequence)
-//! back to the spool — which garbage-collects only fully-ACKed closed
-//! segments. Together: at-least-once delivery, exactly-once ingest.
+//! storage budget; [`spool_offline_egress`] lands its egress in the
+//! [`adaedge_storage::Spool`] as CRC-framed, sequenced records
+//! ([`encode_block`]). Nothing here sends anything: every record leaves
+//! the device through [`crate::uplink::run_session`], which drains the
+//! spool backlog in capture order through the [`crate::uplink::Uplink`]
+//! and reports the receiver's cumulative ACK back to the spool, which
+//! garbage-collects only fully-ACKed closed segments. On the receiving
+//! side the [`IngestLedger`] admits each sequence exactly once and
+//! advances past ranges the sender declares lost. Together:
+//! at-least-once delivery, exactly-once ingest.
 
 use crate::error::AdaEdgeError;
-use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamId, TransportFrame};
 use crate::offline::OfflineAdaEdge;
-use adaedge_codecs::{CodecId, CodecRegistry, CompressedBlock};
-use adaedge_storage::spool::{ReplayItem, Spool, SpoolError, SpoolStats};
+use adaedge_codecs::{CodecId, CompressedBlock};
+use adaedge_storage::spool::{Spool, SpoolError};
 use std::collections::BTreeSet;
 
 /// Errors from the store-and-forward layer: either the durable spool or
@@ -94,99 +95,36 @@ pub fn decode_block(bytes: &[u8]) -> Option<CompressedBlock> {
     })
 }
 
-/// The disconnect-side sink: compressed egress goes into the durable
-/// spool instead of over the (down) link.
-#[derive(Debug)]
-pub struct SpoolSink {
-    spool: Spool,
-    spooled_blocks: u64,
-    spooled_payload_bytes: u64,
-}
-
-impl SpoolSink {
-    /// Wrap an open spool.
-    pub fn new(spool: Spool) -> Self {
-        Self {
-            spool,
-            spooled_blocks: 0,
-            spooled_payload_bytes: 0,
-        }
-    }
-
-    /// Spool one compressed block, returning its capture sequence.
-    pub fn put_block(
-        &mut self,
-        timestamp: u64,
-        block: &CompressedBlock,
-    ) -> Result<u64, SpoolError> {
-        let payload = encode_block(block);
-        let seq = self.spool.append(timestamp, &payload)?;
-        self.spooled_blocks += 1;
-        self.spooled_payload_bytes += payload.len() as u64;
-        Ok(seq)
-    }
-
-    /// Flush the batched-sync window (ship-boundary durability).
-    pub fn sync(&mut self) -> Result<(), SpoolError> {
-        self.spool.sync()
-    }
-
-    /// Blocks spooled through this sink.
-    pub fn spooled_blocks(&self) -> u64 {
-        self.spooled_blocks
-    }
-
-    /// Encoded payload bytes spooled through this sink (frame overheads
-    /// excluded).
-    pub fn spooled_payload_bytes(&self) -> u64 {
-        self.spooled_payload_bytes
-    }
-
-    /// The underlying spool (read access).
-    pub fn spool(&self) -> &Spool {
-        &self.spool
-    }
-
-    /// The underlying spool (mutable — ACK reporting, replay).
-    pub fn spool_mut(&mut self) -> &mut Spool {
-        &mut self.spool
-    }
-
-    /// Unwrap the spool.
-    pub fn into_spool(self) -> Spool {
-        self.spool
-    }
-}
-
 /// Drain the offline pipeline's freshest segments (its reconnection
 /// egress plan) into the spool — the "disconnect" leg of store-and-
-/// forward. Returns `(blocks, encoded payload bytes)` spooled.
+/// forward — and sync at the ship boundary. Returns `(blocks, encoded
+/// payload bytes)` spooled.
 pub fn spool_offline_egress(
     edge: &mut OfflineAdaEdge,
-    sink: &mut SpoolSink,
+    spool: &mut Spool,
     byte_budget: usize,
     timestamp: u64,
 ) -> Result<(usize, u64), RelayError> {
     let shipped = edge.drain(byte_budget)?;
     let mut bytes = 0u64;
-    let count = shipped.len();
     for (_, block) in &shipped {
-        sink.put_block(timestamp, block)?;
+        spool.append(timestamp, &encode_block(block))?;
         bytes += block.payload.len() as u64;
     }
-    sink.sync()?;
-    Ok((count, bytes))
+    spool.sync()?;
+    Ok((shipped.len(), bytes))
 }
 
 /// The ingest side's idempotent at-least-once ledger.
 ///
-/// Replay (and live publishing) may deliver a sequence more than once —
-/// after a reconnect the spool resends everything above the last ACK it
-/// saw. [`IngestLedger::accept`] admits each sequence exactly once;
+/// The uplink may deliver a sequence more than once — a retransmit
+/// whose first copy landed, or a spool replay after a breaker trip
+/// resending everything above the last ACK the sender saw.
+/// [`IngestLedger::accept`] admits each sequence exactly once;
 /// `acked_seq` is the highest *contiguous* sequence durably ingested,
 /// which is what the spool's ACK-gated GC keys on. Known-lost ranges
-/// (reported by the replayer as gaps) advance the cursor without
-/// counting as ingested.
+/// (spool gaps, announced by the sender's frame floor) advance the
+/// cursor without counting as ingested.
 #[derive(Debug, Clone, Default)]
 pub struct IngestLedger {
     acked: u64,
@@ -216,15 +154,19 @@ impl IngestLedger {
         true
     }
 
-    /// Record that sequences `from..=to` are unrecoverable at the source
-    /// (spool bit rot or retention drop): the contiguity cursor may move
-    /// past them so delivery of the surviving backlog can still be ACKed.
-    pub fn mark_lost(&mut self, from: u64, to: u64) {
-        for seq in from.max(1)..=to {
-            if seq > self.acked && self.out_of_order.insert(seq) {
-                self.lost += 1;
-            }
+    /// Record that every sequence up to `to` not yet admitted is
+    /// unrecoverable at the source (spool bit rot or retention drop): the
+    /// contiguity cursor moves past them so delivery of the surviving
+    /// backlog can still be ACKed. Costs O(out-of-order entries drained),
+    /// never O(range width); a `to` at or below the cursor does nothing.
+    pub fn mark_lost_through(&mut self, to: u64) {
+        if to <= self.acked {
+            return;
         }
+        let above = self.out_of_order.split_off(&(to + 1));
+        let admitted = std::mem::replace(&mut self.out_of_order, above).len() as u64;
+        self.lost += to - self.acked - admitted;
+        self.acked = to;
         self.advance();
     }
 
@@ -267,173 +209,14 @@ impl IngestLedger {
     }
 }
 
-/// Reconnect-replay configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayConfig {
-    /// Records drained per tick — the controlled backfill rate (the ADR's
-    /// rate-limited replay; one tick ≈ one transmit window).
-    pub records_per_tick: usize,
-    /// Transport frame geometry for the packer.
-    pub frame: FrameConfig,
-    /// Stream id stamped on replayed fragments.
-    pub stream: StreamId,
-    /// Transmission class for backfill (default [`Priority::Bulk`]: live
-    /// traffic preempts replay, per the packer's ordering).
-    pub priority: Priority,
-    /// Decode every replayed block through the registry and count
-    /// failures (end-to-end verification mode; costs decompression time).
-    pub verify_decode: bool,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> Self {
-        Self {
-            records_per_tick: 64,
-            frame: FrameConfig::default(),
-            stream: 0,
-            priority: Priority::Bulk,
-            verify_decode: false,
-        }
-    }
-}
-
-/// What a reconnect replay did (counters surfaced into reports).
-#[derive(Debug, Clone)]
-pub struct ReplayReport {
-    /// Rate-limit ticks consumed.
-    pub ticks: u64,
-    /// Records pulled from the spool.
-    pub replayed_records: u64,
-    /// Records the ledger admitted (ingested exactly once).
-    pub ingested_records: u64,
-    /// Duplicate deliveries the ledger dropped.
-    pub duplicate_records: u64,
-    /// Sequences reported lost (gaps: bit rot / retention).
-    pub lost_records: u64,
-    /// Replayed records whose payload failed to decode back into a
-    /// compressed block (only counted with `verify_decode`).
-    pub decode_failures: u64,
-    /// Transport frames emitted by the packer.
-    pub frames_emitted: u64,
-    /// Frame bytes emitted (payload + fragment overheads).
-    pub frame_bytes: u64,
-    /// Largest emitted frame (never above the configured cap).
-    pub max_frame_used: usize,
-    /// Segment files GC'd during the replay (ACK-gated).
-    pub gc_segments: u64,
-    /// The ledger's final contiguous cursor.
-    pub final_acked_seq: u64,
-    /// Spool depth and lifetime counters after the replay.
-    pub spool: SpoolStats,
-}
-
-/// Replay the spool's durable backlog (everything above the ledger's
-/// cursor) through a [`FramePacker`] at a controlled rate — the
-/// "reconnect" leg of store-and-forward.
-///
-/// Every tick drains up to `records_per_tick` records, emits the frames
-/// that are ready, and reports the ledger's `acked_seq` back to the
-/// spool, which GCs fully-ACKed closed segments as the replay advances —
-/// spool disk usage shrinks *during* a long backfill, not after it.
-/// Emitted frames are passed to `emit` (transmit hook; tests collect
-/// them, production would hand them to the radio).
-pub fn run_reconnect(
-    spool: &mut Spool,
-    ledger: &mut IngestLedger,
-    registry: &CodecRegistry,
-    cfg: &ReplayConfig,
-    mut emit: impl FnMut(TransportFrame),
-) -> Result<ReplayReport, SpoolError> {
-    assert!(cfg.records_per_tick > 0, "records_per_tick must be > 0");
-    let mut packer = FramePacker::new(cfg.frame);
-    let mut report = ReplayReport {
-        ticks: 0,
-        replayed_records: 0,
-        ingested_records: 0,
-        duplicate_records: 0,
-        lost_records: 0,
-        decode_failures: 0,
-        frames_emitted: 0,
-        frame_bytes: 0,
-        max_frame_used: 0,
-        gc_segments: 0,
-        final_acked_seq: 0,
-        spool: SpoolStats::default(),
-    };
-    let dup_before = ledger.duplicates();
-    let lost_before = ledger.lost();
-    let ingested_before = ledger.accepted();
-
-    let replayer = spool.replayer(ledger.acked_seq())?;
-    let items: Vec<ReplayItem> = replayer.collect();
-    let mut in_tick = 0usize;
-    for item in items {
-        match item {
-            ReplayItem::Record(rec) => {
-                report.replayed_records += 1;
-                in_tick += 1;
-                if !ledger.accept(rec.seq) {
-                    // Duplicate delivery: idempotent drop, nothing packed.
-                } else {
-                    let mut len = rec.payload.len();
-                    if cfg.verify_decode {
-                        match decode_block(&rec.payload) {
-                            Some(block) => {
-                                if registry.decompress(&block).is_err() {
-                                    report.decode_failures += 1;
-                                }
-                                len = block.payload.len();
-                            }
-                            None => report.decode_failures += 1,
-                        }
-                    }
-                    packer.push(FrameItem {
-                        stream: cfg.stream,
-                        priority: cfg.priority,
-                        seq: rec.seq,
-                        len,
-                    });
-                }
-            }
-            ReplayItem::Gap { from_seq, to_seq } => {
-                ledger.mark_lost(from_seq, to_seq);
-            }
-        }
-        if in_tick >= cfg.records_per_tick {
-            in_tick = 0;
-            report.ticks += 1;
-            while packer.frame_ready() {
-                if let Some(frame) = packer.next_frame() {
-                    emit(frame);
-                } else {
-                    break;
-                }
-            }
-            report.gc_segments += spool.ack(ledger.acked_seq())? as u64;
-        }
-    }
-    if in_tick > 0 {
-        report.ticks += 1;
-    }
-    for frame in packer.flush() {
-        emit(frame);
-    }
-    report.gc_segments += spool.ack(ledger.acked_seq())? as u64;
-
-    report.ingested_records = ledger.accepted() - ingested_before;
-    report.duplicate_records = ledger.duplicates() - dup_before;
-    report.lost_records = ledger.lost() - lost_before;
-    report.frames_emitted = packer.frames_emitted();
-    report.frame_bytes = packer.bytes_emitted();
-    report.max_frame_used = packer.max_frame_used();
-    report.final_acked_seq = ledger.acked_seq();
-    report.spool = spool.stats();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::uplink::{
+        run_session, Ack, Capture, PerfectLink, Receiver, SessionReport, Transport, Uplink,
+        UplinkConfig, UplinkFrame,
+    };
+    use adaedge_codecs::CodecRegistry;
     use adaedge_storage::spool::SpoolConfig;
     use std::time::Duration;
 
@@ -495,7 +278,7 @@ mod tests {
     fn ledger_lost_ranges_advance_cursor_without_counting_ingest() {
         let mut ledger = IngestLedger::new();
         assert!(ledger.accept(1));
-        ledger.mark_lost(2, 4);
+        ledger.mark_lost_through(4);
         assert_eq!(ledger.acked_seq(), 4);
         assert_eq!(ledger.lost(), 3);
         assert!(ledger.accept(5));
@@ -506,40 +289,156 @@ mod tests {
     }
 
     #[test]
+    fn ledger_mark_lost_through_costs_pending_entries_not_range_width() {
+        let mut ledger = IngestLedger::new();
+        assert!(ledger.accept(1));
+        for seq in [5, 9, 1 << 39] {
+            assert!(ledger.accept(seq));
+        }
+        let start = std::time::Instant::now();
+        ledger.mark_lost_through(1 << 40);
+        assert!(start.elapsed() < Duration::from_secs(1), "returns at once");
+        assert_eq!(ledger.acked_seq(), 1 << 40);
+        assert_eq!(
+            ledger.lost(),
+            (1 << 40) - 1 - 3,
+            "exact: admitted sequences inside the range are not lost"
+        );
+        assert_eq!(ledger.accepted(), 4);
+        assert_eq!(ledger.pending_out_of_order(), 0);
+        // A bound at or below the cursor changes nothing.
+        ledger.mark_lost_through(10);
+        assert_eq!(ledger.lost(), (1 << 40) - 4);
+        // Admitted sequences right above a range join the cursor.
+        assert!(ledger.accept((1 << 40) + 2));
+        ledger.mark_lost_through((1 << 40) + 1);
+        assert_eq!(ledger.acked_seq(), (1 << 40) + 2);
+        assert_eq!(ledger.lost(), (1 << 40) - 3);
+    }
+
+    /// A perfect link that checks every frame against the default
+    /// payload cap (fragment headers included) and counts frames.
+    struct CapCheckedLink {
+        inner: PerfectLink,
+        frames: u64,
+    }
+
+    impl Transport for CapCheckedLink {
+        fn send_frame(&mut self, now: u64, frame: UplinkFrame) {
+            let cfg = UplinkConfig::default().frame;
+            let used: usize = frame
+                .fragments
+                .iter()
+                .map(|f| cfg.fragment_overhead + f.bytes.len())
+                .sum();
+            assert!(used <= cfg.payload_cap, "frame over cap: {used}");
+            self.frames += 1;
+            self.inner.send_frame(now, frame);
+        }
+        fn send_ack(&mut self, now: u64, ack: Ack) {
+            self.inner.send_ack(now, ack);
+        }
+        fn poll_frames(&mut self, now: u64) -> Vec<UplinkFrame> {
+            self.inner.poll_frames(now)
+        }
+        fn poll_acks(&mut self, now: u64) -> Vec<Ack> {
+            self.inner.poll_acks(now)
+        }
+        fn is_empty(&self) -> bool {
+            self.inner.is_empty()
+        }
+    }
+
+    /// A session over `spool` and a perfect link that captures nothing
+    /// and collects what is released. Every frame fits the payload cap,
+    /// and the link saw exactly the frames the sender counted (first
+    /// sends, retransmits, probes).
+    fn drain(
+        spool: &mut Spool,
+        up: &mut Uplink,
+        rx: &mut Receiver,
+        max_ticks: u64,
+    ) -> (SessionReport, Vec<(u64, Vec<u8>)>) {
+        let mut link = CapCheckedLink {
+            inner: PerfectLink::new(1),
+            frames: 0,
+        };
+        let before = up.counters();
+        let mut released = Vec::new();
+        let report = run_session(
+            spool,
+            up,
+            rx,
+            &mut link,
+            max_ticks,
+            |_| Capture::Done,
+            |seq, bytes| released.push((seq, bytes)),
+        )
+        .unwrap();
+        let (u, b) = (&report.uplink, &before);
+        assert_eq!(
+            link.frames,
+            (u.frames_sent - b.frames_sent)
+                + (u.retries - b.retries)
+                + (u.half_open_probes - b.half_open_probes)
+        );
+        (report, released)
+    }
+
+    fn uplink() -> Uplink {
+        Uplink::new(UplinkConfig {
+            accept_limit: 16,
+            ..UplinkConfig::default()
+        })
+    }
+
+    #[test]
     fn reconnect_replays_everything_exactly_once_and_gcs() {
         let dir = tmpdir("reconnect");
-        let mut sink = SpoolSink::new(spool(&dir));
+        let mut sp = spool(&dir);
         for i in 0..200u64 {
-            sink.put_block(i, &sample_block(i)).unwrap();
+            sp.append(i, &encode_block(&sample_block(i))).unwrap();
         }
-        sink.sync().unwrap();
-        let mut sp = sink.into_spool();
-        let mut ledger = IngestLedger::new();
+        sp.sync().unwrap();
+        let closed_before = sp.stats().closed_segments;
         let reg = CodecRegistry::new(4);
-        let cfg = ReplayConfig {
-            records_per_tick: 16,
-            verify_decode: true,
-            ..ReplayConfig::default()
-        };
-        let mut frames = Vec::new();
-        let report = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |f| frames.push(f)).unwrap();
-        assert_eq!(report.replayed_records, 200);
-        assert_eq!(report.ingested_records, 200);
-        assert_eq!(report.duplicate_records, 0);
-        assert_eq!(report.decode_failures, 0);
+        let (mut up, mut rx) = (uplink(), Receiver::new());
+
+        // The link drops mid-drain: ACK-gated GC has already trimmed the
+        // delivered prefix, and the rest is still on disk.
+        let (cut, mut released) = drain(&mut sp, &mut up, &mut rx, 20);
+        assert!(!cut.completed);
+        let mid = sp.stats();
+        assert!(mid.gc_segments > 0, "GC runs during the drain");
+        assert!(mid.closed_segments > 0 && mid.closed_segments < closed_before);
+
+        let (report, rest) = drain(&mut sp, &mut up, &mut rx, 10_000);
+        assert!(report.completed);
+        released.extend(rest);
+        assert_eq!(released.len(), 200, "every record exactly once");
+        assert_eq!(cut.replayed_records + report.replayed_records, 200);
+        for (i, (seq, bytes)) in released.iter().enumerate() {
+            assert_eq!(*seq, i as u64 + 1, "capture order");
+            let block = decode_block(bytes).expect("decodes");
+            assert_eq!(block, sample_block(i as u64), "byte-identical");
+            assert!(reg.decompress(&block).is_ok());
+        }
         assert_eq!(report.final_acked_seq, 200);
-        assert_eq!(report.ticks, 200 / 16 + 1);
-        assert!(report.frames_emitted > 0);
-        assert!(report.max_frame_used <= cfg.frame.payload_cap);
-        assert_eq!(report.frames_emitted as usize, frames.len());
-        // ACK-gated GC ran during the replay: only the open segment's
-        // records remain on disk.
-        assert!(report.gc_segments > 0, "GC should run mid-replay");
-        assert_eq!(report.spool.closed_segments, 0);
-        // A second reconnect has nothing new: full dedup, zero ingest.
-        let report2 = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |_| {}).unwrap();
-        assert_eq!(report2.ingested_records, 0);
-        assert_eq!(report2.final_acked_seq, 200);
+        assert_eq!(report.receiver.duplicate_records, 0);
+        assert_eq!(report.receiver.records_lost, 0);
+        assert!(report.uplink.frames_sent > 0);
+        // Only the open segment's records remain on disk.
+        assert_eq!(sp.stats().closed_segments, 0);
+
+        // A second drain from a sender that lost its ACK state resends
+        // the open-segment tail; the receiver delivers nothing new.
+        let (again, none) = drain(&mut sp, &mut uplink(), &mut rx, 10_000);
+        assert!(again.completed);
+        assert!(again.replayed_records > 0, "the tail is still on disk");
+        assert!(none.is_empty());
+        assert_eq!(again.final_acked_seq, 200);
+        assert_eq!(again.receiver.records_delivered, 200);
+        assert_eq!(again.receiver.records_lost, 0, "GC'd ranges are not loss");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -547,22 +446,23 @@ mod tests {
     fn reconnect_resumes_mid_backlog_idempotently() {
         let dir = tmpdir("resume");
         let mut sp = spool(&dir);
-        for i in 0..50u64 {
+        let (mut up, mut rx) = (uplink(), Receiver::new());
+        for i in 0..20u64 {
             sp.append(i, &encode_block(&sample_block(i))).unwrap();
         }
-        sp.sync().unwrap();
-        let reg = CodecRegistry::new(4);
-        let cfg = ReplayConfig::default();
-        // First link window: the ingest side saw some records but its ACK
-        // (say 20) only partially covers them.
-        let mut ledger = IngestLedger::new();
-        for seq in 1..=20u64 {
-            ledger.accept(seq);
+        // First link window: the receiver ingests and ACKs 20 records.
+        let (first, _) = drain(&mut sp, &mut up, &mut rx, 10_000);
+        assert!(first.completed);
+        assert_eq!(up.acked_seq(), 20);
+        for i in 20..50u64 {
+            sp.append(i, &encode_block(&sample_block(i))).unwrap();
         }
-        let report = run_reconnect(&mut sp, &mut ledger, &reg, &cfg, |_| {}).unwrap();
+        let (report, released) = drain(&mut sp, &mut up, &mut rx, 10_000);
+        assert!(report.completed);
         assert_eq!(report.replayed_records, 30, "only the un-ACKed tail");
-        assert_eq!(report.ingested_records, 30);
-        assert_eq!(ledger.accepted(), 50);
+        assert_eq!(report.delivered_records, 30);
+        assert_eq!(released.first().map(|r| r.0), Some(21));
+        assert_eq!(report.receiver.records_delivered, 50);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

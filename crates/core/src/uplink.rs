@@ -1,5 +1,5 @@
-//! Fault-tolerant uplink transport between the frame packer / spool
-//! replayer and the (simulated) network (DESIGN.md §7).
+//! Fault-tolerant uplink transport between the durable spool and the
+//! (simulated) network (DESIGN.md §7).
 //!
 //! The repo's earlier layers assume the uplink either works or is fully
 //! down (the spool covers "down"). Real edge links are *partially*
@@ -11,10 +11,18 @@
 //!   [`FramePacker`], per-frame deadlines, bounded retries under
 //!   exponential [`Backoff`] with deterministic seeded jitter, and a
 //!   [`CircuitBreaker`] (closed → open → half-open with probe frames)
-//!   that trips to spool-only store-and-forward mode.
+//!   that trips to spool-only store-and-forward mode. Every frame
+//!   carries the *sender floor*, the lowest sequence the sender can
+//!   still deliver, so a spool gap reaches the receiver over the link.
 //! * [`Receiver`] — the ingest side: CRC-checked frames, fragment
 //!   reassembly with duplicate/overlap dedup, an [`IngestLedger`]
-//!   cursor for exactly-once admission, and capture-order release.
+//!   cursor for exactly-once admission, and capture-order release that
+//!   skips sequences below the sender floor instead of stalling on them.
+//! * [`run_session`] — the one session driver and the only way a record
+//!   leaves the device: `Spool → Uplink → Transport → Receiver`. Live
+//!   captures are spooled first and offered directly; backpressured and
+//!   breaker-rewound records are read back from the spool; the spool is
+//!   ACKed every tick so its GC runs during the drain.
 //! * [`FaultyLink`] — a deterministic test transport: seeded drop /
 //!   duplicate / reorder / delay / corrupt / stall of frames *and*
 //!   ACKs, with scriptable phase schedules ("40% loss for 300 ticks,
@@ -32,9 +40,10 @@ use crate::frame::{FrameConfig, FrameItem, FramePacker, Priority, StreamId};
 use crate::spooling::IngestLedger;
 use adaedge_codecs::crc32c::{crc32c, crc32c_append};
 use adaedge_codecs::faultkit;
+use adaedge_storage::spool::{ReplayItem, Replayer, Spool, SpoolError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -239,8 +248,9 @@ pub enum FrameKind {
     Probe,
 }
 
-/// A frame on the wire: id, kind, fragments, and a CRC-32C over all of
-/// it so the receiver rejects corruption instead of ingesting garbage.
+/// A frame on the wire: id, kind, sender floor, fragments, and a
+/// CRC-32C over all of it so the receiver rejects corruption instead of
+/// ingesting garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UplinkFrame {
     /// Sender-assigned id; retransmissions reuse it so duplicate ACKs
@@ -248,16 +258,21 @@ pub struct UplinkFrame {
     pub frame_id: u64,
     /// Data or probe.
     pub kind: FrameKind,
+    /// The lowest sequence the sender can still deliver. Every sequence
+    /// below it that the receiver has not admitted is lost at the source
+    /// (a spool gap); zero claims nothing.
+    pub floor: u64,
     /// The fragments aboard (empty for probes).
     pub fragments: Vec<WireFragment>,
-    /// CRC-32C over kind, id and every fragment's header + bytes.
+    /// CRC-32C over kind, id, floor and every fragment's header + bytes.
     pub crc: u32,
 }
 
 impl UplinkFrame {
-    fn digest(kind: FrameKind, frame_id: u64, fragments: &[WireFragment]) -> u32 {
+    fn digest(kind: FrameKind, frame_id: u64, floor: u64, fragments: &[WireFragment]) -> u32 {
         let mut crc = crc32c(&[kind as u8]);
         crc = crc32c_append(crc, &frame_id.to_le_bytes());
+        crc = crc32c_append(crc, &floor.to_le_bytes());
         for f in fragments {
             crc = crc32c_append(crc, &f.seq.to_le_bytes());
             crc = crc32c_append(crc, &(f.offset as u64).to_le_bytes());
@@ -268,11 +283,12 @@ impl UplinkFrame {
     }
 
     /// Build a sealed frame (CRC computed over the final contents).
-    pub fn new(frame_id: u64, kind: FrameKind, fragments: Vec<WireFragment>) -> Self {
-        let crc = Self::digest(kind, frame_id, &fragments);
+    pub fn new(frame_id: u64, kind: FrameKind, floor: u64, fragments: Vec<WireFragment>) -> Self {
+        let crc = Self::digest(kind, frame_id, floor, &fragments);
         Self {
             frame_id,
             kind,
+            floor,
             fragments,
             crc,
         }
@@ -280,7 +296,7 @@ impl UplinkFrame {
 
     /// Whether the frame survived the link intact.
     pub fn verify(&self) -> bool {
-        Self::digest(self.kind, self.frame_id, &self.fragments) == self.crc
+        Self::digest(self.kind, self.frame_id, self.floor, &self.fragments) == self.crc
     }
 
     /// Payload bytes aboard (fragment bytes only).
@@ -660,6 +676,9 @@ pub struct ReceiverCounters {
     pub records_delivered: u64,
     /// Payload bytes of admitted records.
     pub payload_bytes_delivered: u64,
+    /// Sequences below a sender floor that never arrived: lost at the
+    /// source, skipped in release.
+    pub records_lost: u64,
 }
 
 /// Reassembly buffer for one record: bytes plus merged coverage
@@ -720,7 +739,9 @@ impl PartialRecord {
 
 /// The ingest side of the uplink: CRC verification, fragment
 /// reassembly, exactly-once admission through an [`IngestLedger`], and
-/// capture-order release of completed records.
+/// capture-order release of completed records. A frame's sender floor
+/// marks every missing sequence below it lost, so release moves past a
+/// spool gap instead of waiting for records that no longer exist.
 #[derive(Debug, Default)]
 pub struct Receiver {
     ledger: IngestLedger,
@@ -738,17 +759,6 @@ impl Receiver {
         Self::default()
     }
 
-    /// Resume with a pre-populated ledger (the cursor survives a link
-    /// outage; replays below it are deduped).
-    pub fn with_ledger(ledger: IngestLedger) -> Self {
-        let released = ledger.acked_seq();
-        Self {
-            ledger,
-            released,
-            ..Self::default()
-        }
-    }
-
     /// Handle one frame off the link. Returns the ACK to send back, or
     /// `None` when the frame failed its CRC (a corrupt frame is never
     /// acknowledged — the sender's deadline covers it).
@@ -757,6 +767,11 @@ impl Receiver {
         if !frame.verify() {
             self.counters.frames_rejected += 1;
             return None;
+        }
+        if frame.floor > self.ledger.acked_seq() + 1 {
+            self.ledger.mark_lost_through(frame.floor - 1);
+            let cursor = self.ledger.acked_seq();
+            self.partial.retain(|&seq, _| seq > cursor);
         }
         if frame.kind == FrameKind::Probe {
             self.counters.probe_frames += 1;
@@ -786,14 +801,28 @@ impl Receiver {
 
     /// Release completed records **in capture order**: only the
     /// contiguous prefix above the last release leaves the receiver; a
-    /// record that arrived ahead of a hole waits for the hole to fill.
+    /// record that arrived ahead of a hole waits for the hole to fill,
+    /// unless the ledger's cursor has passed the hole (lost at the source).
     pub fn take_ordered(&mut self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
-        while let Some(bytes) = self.ready.remove(&(self.released + 1)) {
-            self.released += 1;
-            out.push((self.released, bytes));
+        loop {
+            if let Some(bytes) = self.ready.remove(&(self.released + 1)) {
+                self.released += 1;
+                out.push((self.released, bytes));
+            } else if self.released < self.ledger.acked_seq() {
+                // Every sequence at or below the cursor was admitted or
+                // lost, and admitted ones wait in `ready`: skip the lost
+                // run up to the next admitted record.
+                let cursor = self.ledger.acked_seq();
+                self.released = self
+                    .ready
+                    .keys()
+                    .next()
+                    .map_or(cursor, |&s| cursor.min(s - 1));
+            } else {
+                return out;
+            }
         }
-        out
     }
 
     /// Records admitted but still waiting behind a capture-order hole.
@@ -806,15 +835,12 @@ impl Receiver {
         self.ledger.acked_seq()
     }
 
-    /// The ledger (for handing to [`crate::spooling::run_reconnect`]
-    /// after a breaker recovery).
-    pub fn ledger_mut(&mut self) -> &mut IngestLedger {
-        &mut self.ledger
-    }
-
     /// Ingest-side counters.
     pub fn counters(&self) -> ReceiverCounters {
-        self.counters
+        ReceiverCounters {
+            records_lost: self.ledger.lost(),
+            ..self.counters
+        }
     }
 }
 
@@ -950,6 +976,12 @@ impl CircuitBreaker {
 
 // --- the uplink sender ------------------------------------------------------
 
+/// Stream id stamped on outgoing fragments: one uplink carries one
+/// device's capture stream.
+const STREAM: StreamId = 0;
+/// Transmission class of every offered record.
+const PRIORITY: Priority = Priority::Normal;
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct UplinkConfig {
@@ -975,10 +1007,6 @@ pub struct UplinkConfig {
     pub breaker: BreakerConfig,
     /// Degradation watermarks over `backlog() + external backlog`.
     pub watermarks: PressureWatermarks,
-    /// Stream id stamped on outgoing fragments.
-    pub stream: StreamId,
-    /// Transmission class for offered records.
-    pub priority: Priority,
     /// Seed for the backoff jitter RNG.
     pub seed: u64,
 }
@@ -995,17 +1023,16 @@ impl Default for UplinkConfig {
             backoff: BackoffConfig::default(),
             breaker: BreakerConfig::default(),
             watermarks: PressureWatermarks::default(),
-            stream: 0,
-            priority: Priority::Normal,
             seed: 0,
         }
     }
 }
 
-/// Sender-side counters (plumbed into fleet rollups).
+/// Sender-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UplinkCounters {
-    /// Frames transmitted (first sends, data only).
+    /// Frames transmitted (first sends of data frames, floor-only ones
+    /// included).
     pub frames_sent: u64,
     /// Retransmissions.
     pub retries: u64,
@@ -1055,6 +1082,8 @@ pub struct Uplink {
     breaker: CircuitBreaker,
     gauge: PressureGauge,
     external_backlog: usize,
+    /// Lowest sequence the driver can still offer (0: unknown).
+    floor: u64,
     /// Highest cumulative sequence the receiver has confirmed.
     cum_acked: u64,
     next_frame_id: u64,
@@ -1086,6 +1115,7 @@ impl Uplink {
             breaker,
             gauge: PressureGauge::new(),
             external_backlog: 0,
+            floor: 0,
             cum_acked: 0,
             next_frame_id: 0,
             probe_in_flight: None,
@@ -1106,6 +1136,43 @@ impl Uplink {
         self.external_backlog = records;
     }
 
+    /// Declare the lowest sequence the driver can still offer: its replay
+    /// cursor, past any spool gap. Frames carry `min(this, lowest
+    /// buffered record)` as the sender floor. Only [`run_session`] sets
+    /// it; zero (the default) claims nothing, so a receiver never
+    /// records a loss.
+    fn set_floor(&mut self, seq: u64) {
+        self.floor = seq;
+    }
+
+    /// The sender floor stamped on frames built now.
+    fn wire_floor(&self) -> u64 {
+        self.payloads
+            .keys()
+            .next()
+            .map_or(self.floor, |&s| s.min(self.floor))
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_frame_id;
+        self.next_frame_id += 1;
+        id
+    }
+
+    /// First transmission of a data frame.
+    fn transmit(&mut self, now: u64, frame: UplinkFrame, transport: &mut dyn Transport) {
+        self.counters.frames_sent += 1;
+        transport.send_frame(now, frame.clone());
+        self.in_flight.insert(
+            frame.frame_id,
+            InFlight {
+                frame,
+                deadline: now + self.cfg.deadline_ticks,
+                attempt: 0,
+            },
+        );
+    }
+
     /// Whether a new record would be accepted right now: breaker closed
     /// and the un-ACKed buffer below its limit.
     pub fn can_accept(&mut self, now: u64) -> bool {
@@ -1120,8 +1187,8 @@ impl Uplink {
             return false;
         }
         self.packer.push(FrameItem {
-            stream: self.cfg.stream,
-            priority: self.cfg.priority,
+            stream: STREAM,
+            priority: PRIORITY,
             seq,
             len: payload.len(),
         });
@@ -1218,9 +1285,9 @@ impl Uplink {
             if fragments.is_empty() {
                 continue; // the whole frame was stale — pack the next one
             }
-            let id = self.next_frame_id;
-            self.next_frame_id += 1;
-            return Some(UplinkFrame::new(id, FrameKind::Data, fragments));
+            let floor = self.wire_floor();
+            let id = self.next_id();
+            return Some(UplinkFrame::new(id, FrameKind::Data, floor, fragments));
         }
     }
 
@@ -1239,8 +1306,8 @@ impl Uplink {
                 continue;
             };
             self.packer.push(FrameItem {
-                stream: self.cfg.stream,
-                priority: self.cfg.priority,
+                stream: STREAM,
+                priority: PRIORITY,
                 seq,
                 len: payload.len(),
             });
@@ -1251,8 +1318,9 @@ impl Uplink {
 
     /// Cancel everything buffered or outstanding (breaker trip): the
     /// sender goes quiet, and every un-ACKed sequence is handed back to
-    /// the driver for spool-side rewind.
+    /// the driver for spool-side rewind (the floor drops with it).
     fn cancel_all(&mut self) {
+        self.floor = self.wire_floor();
         self.in_flight.clear();
         self.retry_at.clear();
         self.late_acked.clear();
@@ -1356,25 +1424,25 @@ impl Uplink {
                         break;
                     };
                     budget -= 1;
-                    self.counters.frames_sent += 1;
-                    let deadline = now + self.cfg.deadline_ticks;
-                    transport.send_frame(now, frame.clone());
-                    self.in_flight.insert(
-                        frame.frame_id,
-                        InFlight {
-                            frame,
-                            deadline,
-                            attempt: 0,
-                        },
-                    );
+                    self.transmit(now, frame, transport);
+                }
+
+                // 5. A floor above the receiver's cursor with no record
+                // aboard to carry it (a spool gap at the end of the
+                // backlog) ships in an empty data frame.
+                let floor = self.wire_floor();
+                if budget > 0 && floor > self.cum_acked + 1 && self.idle() {
+                    let id = self.next_id();
+                    let frame = UplinkFrame::new(id, FrameKind::Data, floor, Vec::new());
+                    self.transmit(now, frame, transport);
                 }
             }
             BreakerState::HalfOpen => {
-                // 5. Probe: one at a time.
+                // 6. Probe: one at a time.
                 if self.probe_in_flight.is_none() && budget > 0 {
-                    let id = self.next_frame_id;
-                    self.next_frame_id += 1;
-                    let probe = UplinkFrame::new(id, FrameKind::Probe, Vec::new());
+                    let id = self.next_id();
+                    let floor = self.wire_floor();
+                    let probe = UplinkFrame::new(id, FrameKind::Probe, floor, Vec::new());
                     self.counters.half_open_probes += 1;
                     transport.send_frame(now, probe.clone());
                     self.probe_in_flight = Some(id);
@@ -1391,7 +1459,7 @@ impl Uplink {
             BreakerState::Open { .. } => {}
         }
 
-        // 6. Pressure gauge.
+        // 7. Pressure gauge.
         let depth = self.payloads.len() + self.external_backlog;
         let level = self.cfg.watermarks.classify(self.gauge.level(), depth);
         self.gauge.set(level);
@@ -1400,20 +1468,39 @@ impl Uplink {
 
 // --- session driver ---------------------------------------------------------
 
-/// What one in-memory uplink session did (the bench/chaos rollup).
-#[derive(Debug, Clone)]
+/// What the capture hook of [`run_session`] produced on one tick.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Capture {
+    /// A new record: appended to the spool, then offered live when
+    /// nothing older is waiting.
+    Record(Vec<u8>),
+    /// Nothing this tick; capture goes on.
+    Idle,
+    /// Capture has ended: the session completes once every spooled
+    /// sequence is ACKed.
+    Done,
+}
+
+/// What one uplink session did.
+#[derive(Debug, Clone, Default)]
 pub struct SessionReport {
     /// Virtual ticks consumed.
     pub ticks: u64,
-    /// Records offered to the sender.
-    pub offered_records: u64,
+    /// Records the capture hook appended to the spool.
+    pub captured_records: u64,
+    /// Records read back from the spool and offered (backpressured,
+    /// rewound by a breaker trip, or spooled before the session).
+    pub replayed_records: u64,
     /// Records released by the receiver in capture order.
     pub delivered_records: u64,
     /// Payload bytes of delivered records.
     pub goodput_bytes: u64,
+    /// Spooled records not yet offered when the session ended.
+    pub spool_backlog: u64,
     /// The receiver's final contiguous cursor.
     pub final_acked_seq: u64,
-    /// Whether everything drained before the tick budget ran out.
+    /// Whether capture ended and every spooled sequence was ACKed before
+    /// the tick budget ran out.
     pub completed: bool,
     /// Sender counters.
     pub uplink: UplinkCounters,
@@ -1423,144 +1510,120 @@ pub struct SessionReport {
     pub degradation_transitions: u64,
 }
 
-/// Drive `records` (capture-order `(seq, payload)` pairs, sequences
-/// contiguous from `records[0].0`) through an uplink/receiver pair over
-/// `link` until everything is delivered or `max_ticks` elapse. Records
-/// cancelled by a breaker trip are re-offered once the breaker closes —
-/// the in-memory stand-in for the spool rewind the chaos suite's
-/// store-and-forward test exercises for real.
+/// Drive one device session over `link`, the only way a record leaves
+/// the device: `Spool → Uplink → Transport → Receiver`.
+///
+/// Each tick the receiver takes what the link delivers and hands records
+/// to `release` in capture order; the uplink pumps ACKs, deadlines,
+/// retries and sends; `capture` may produce a record, which is appended
+/// to `spool` and offered live when nothing older waits. Everything else
+/// — backpressured captures, records a breaker trip handed back, and
+/// whatever the spool held above the uplink's ACK cursor when the
+/// session began — is read back in capture order through one replayer,
+/// rebuilt only when it runs out or the cursor moves (building one
+/// fdatasyncs the spool). A spool gap raises the sender floor, so the
+/// receiver records the range lost and releases past it. The spool is
+/// ACKed every tick, so its GC runs during the drain. The session ends
+/// when capture is done and every spooled sequence is ACKed, or after
+/// `max_ticks`.
 pub fn run_session(
-    records: &[(u64, Vec<u8>)],
+    spool: &mut Spool,
     uplink: &mut Uplink,
     receiver: &mut Receiver,
     link: &mut dyn Transport,
     max_ticks: u64,
-) -> SessionReport {
-    let by_seq: HashMap<u64, &Vec<u8>> = records.iter().map(|(s, p)| (*s, p)).collect();
-    let mut requeue: VecDeque<u64> = VecDeque::new();
-    let mut next = 0usize;
-    let mut delivered = 0u64;
-    let mut goodput = 0u64;
-    let mut ticks = 0u64;
-    let mut completed = false;
-
+    mut capture: impl FnMut(u64) -> Capture,
+    mut release: impl FnMut(u64, Vec<u8>),
+) -> Result<SessionReport, SpoolError> {
+    let mut captured = spool.stats().next_seq - 1;
+    // Next sequence to offer: everything below was offered, ACKed or lost.
+    let mut next_offer = uplink.acked_seq() + 1;
+    let mut replayer: Option<Replayer> = None;
+    let mut capturing = true;
+    let mut report = SessionReport::default();
     for now in 0..max_ticks {
-        ticks = now + 1;
+        report.ticks = now + 1;
         for frame in link.poll_frames(now) {
             if let Some(ack) = receiver.on_frame(&frame) {
                 link.send_ack(now, ack);
             }
         }
-        for (_, bytes) in receiver.take_ordered() {
-            delivered += 1;
-            goodput += bytes.len() as u64;
+        for (seq, bytes) in receiver.take_ordered() {
+            report.delivered_records += 1;
+            report.goodput_bytes += bytes.len() as u64;
+            release(seq, bytes);
         }
         uplink.tick(now, link);
-        for seq in uplink.take_rewind() {
-            requeue.push_back(seq);
-        }
-        while uplink.can_accept(now) {
-            if let Some(&seq) = requeue.front() {
-                let payload = by_seq.get(&seq).expect("rewound seq was offered");
-                if uplink.offer(now, seq, (*payload).clone()) {
-                    requeue.pop_front();
-                } else {
-                    requeue.pop_front(); // already ACKed meanwhile
-                }
-            } else if next < records.len() {
-                let (seq, ref payload) = records[next];
-                if !uplink.offer(now, seq, payload.clone()) {
-                    break;
-                }
-                next += 1;
-            } else {
-                break;
+        if let Some(&first) = uplink.take_rewind().iter().min() {
+            if first < next_offer {
+                next_offer = first;
+                replayer = None;
             }
         }
-        uplink.set_external_backlog(records.len() - next + requeue.len());
-        if next == records.len() && requeue.is_empty() && uplink.idle() && link.is_empty() {
-            completed = true;
+        if capturing {
+            match capture(now) {
+                Capture::Record(payload) => {
+                    let seq = spool.append(now, &payload)?;
+                    captured = seq;
+                    report.captured_records += 1;
+                    if next_offer == seq && uplink.offer(now, seq, payload) {
+                        next_offer = seq + 1;
+                    }
+                }
+                Capture::Idle => {}
+                Capture::Done => capturing = false,
+            }
+        }
+        while next_offer <= captured && uplink.can_accept(now) {
+            if next_offer <= uplink.acked_seq() {
+                // The receiver already holds these.
+                next_offer = uplink.acked_seq() + 1;
+                replayer = None;
+                continue;
+            }
+            let fresh = replayer.is_none();
+            let r = match &mut replayer {
+                Some(r) => r,
+                None => replayer.insert(spool.replayer(next_offer - 1)?),
+            };
+            match r.next() {
+                Some(ReplayItem::Record(rec)) => {
+                    next_offer = rec.seq + 1;
+                    if uplink.offer(now, rec.seq, rec.payload) {
+                        report.replayed_records += 1;
+                    }
+                }
+                Some(ReplayItem::Gap { to_seq, .. }) => next_offer = to_seq + 1,
+                None => {
+                    // The snapshot ends before the newest captures; a
+                    // fresh one that ends at once has nothing left on
+                    // disk above the cursor, so the rest is lost.
+                    replayer = None;
+                    if fresh {
+                        next_offer = captured + 1;
+                    }
+                }
+            }
+        }
+        uplink.set_floor(next_offer);
+        uplink.set_external_backlog((captured + 1).saturating_sub(next_offer) as usize);
+        spool.ack(uplink.acked_seq())?;
+        if !capturing
+            && next_offer > captured
+            && uplink.acked_seq() >= captured
+            && uplink.idle()
+            && link.is_empty()
+        {
+            report.completed = true;
             break;
         }
     }
-    // Drain any release still parked behind the loop boundary.
-    for (_, bytes) in receiver.take_ordered() {
-        delivered += 1;
-        goodput += bytes.len() as u64;
-    }
-
-    SessionReport {
-        ticks,
-        offered_records: next as u64,
-        delivered_records: delivered,
-        goodput_bytes: goodput,
-        final_acked_seq: receiver.acked_seq(),
-        completed,
-        uplink: uplink.counters(),
-        receiver: receiver.counters(),
-        degradation_transitions: uplink.pressure().transitions(),
-    }
-}
-
-/// Fleet-level uplink rollup: every counter a "what did the link do to
-/// us" question needs, in one place (absorbed into
-/// [`crate::fleet::FleetReport`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UplinkRollup {
-    /// Frames transmitted (first sends).
-    pub frames_sent: u64,
-    /// Retransmissions.
-    pub retries: u64,
-    /// Frame deadline expirations.
-    pub timeouts: u64,
-    /// Circuit-breaker trips.
-    pub trips: u64,
-    /// Half-open probe frames sent.
-    pub half_open_probes: u64,
-    /// Frames the link destroyed (dropped or corrupted).
-    pub frames_dropped_by_link: u64,
-    /// Records re-queued after retry exhaustion.
-    pub requeues: u64,
-    /// Records delivered exactly once.
-    pub records_delivered: u64,
-    /// Duplicate records/fragments the receiver discarded.
-    pub duplicates_discarded: u64,
-    /// Pressure-level transitions (degradation engaging/releasing).
-    pub degradation_transitions: u64,
-    /// Records replayed from the spool on reconnect.
-    pub replayed_records: u64,
-    /// Replayed records ingested exactly once.
-    pub ingested_records: u64,
-    /// Replayed records the ledger deduped.
-    pub duplicate_replays: u64,
-    /// Records lost at the source (spool gaps).
-    pub lost_records: u64,
-}
-
-impl UplinkRollup {
-    /// Fold one uplink session's counters in. Link-side drop counts come
-    /// from the receiver's CRC rejections plus the caller's link ground
-    /// truth when available; here we take the receiver-observable part.
-    pub fn absorb_session(&mut self, s: &SessionReport) {
-        self.frames_sent += s.uplink.frames_sent;
-        self.retries += s.uplink.retries;
-        self.timeouts += s.uplink.timeouts;
-        self.trips += s.uplink.trips;
-        self.half_open_probes += s.uplink.half_open_probes;
-        self.frames_dropped_by_link += s.receiver.frames_rejected;
-        self.requeues += s.uplink.requeues;
-        self.records_delivered += s.delivered_records;
-        self.duplicates_discarded += s.receiver.duplicate_records + s.receiver.duplicate_fragments;
-        self.degradation_transitions += s.degradation_transitions;
-    }
-
-    /// Fold a reconnect replay's counters in.
-    pub fn absorb_replay(&mut self, r: &crate::spooling::ReplayReport) {
-        self.replayed_records += r.replayed_records;
-        self.ingested_records += r.ingested_records;
-        self.duplicate_replays += r.duplicate_records;
-        self.lost_records += r.lost_records;
-    }
+    report.spool_backlog = (captured + 1).saturating_sub(next_offer);
+    report.final_acked_seq = receiver.acked_seq();
+    report.uplink = uplink.counters();
+    report.receiver = receiver.counters();
+    report.degradation_transitions = uplink.pressure().transitions();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1573,6 +1636,45 @@ mod tests {
 
     fn records(n: usize, len: usize) -> Vec<(u64, Vec<u8>)> {
         (1..=n as u64).map(|s| record(s, len)).collect()
+    }
+
+    /// Spool `recs` (sequences from 1) and drain them through
+    /// `run_session`, returning the report and the released records.
+    fn session(
+        name: &str,
+        recs: &[(u64, Vec<u8>)],
+        up: &mut Uplink,
+        rx: &mut Receiver,
+        link: &mut dyn Transport,
+        max_ticks: u64,
+    ) -> (SessionReport, Vec<(u64, Vec<u8>)>) {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!(
+            "adaedge-uplink-{name}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = adaedge_storage::spool::SpoolConfig::new(&dir);
+        cfg.sync_interval = std::time::Duration::from_secs(3600);
+        let mut spool = Spool::open(cfg).unwrap();
+        for (seq, payload) in recs {
+            assert_eq!(spool.append(0, payload).unwrap(), *seq);
+        }
+        let mut released = Vec::new();
+        let report = run_session(
+            &mut spool,
+            up,
+            rx,
+            link,
+            max_ticks,
+            |_| Capture::Done,
+            |seq, bytes| released.push((seq, bytes)),
+        )
+        .unwrap();
+        drop(spool);
+        std::fs::remove_dir_all(&dir).ok();
+        (report, released)
     }
 
     fn small_cfg() -> UplinkConfig {
@@ -1699,6 +1801,7 @@ mod tests {
         let frame = UplinkFrame::new(
             9,
             FrameKind::Data,
+            0,
             vec![WireFragment {
                 seq: 1,
                 offset: 0,
@@ -1713,6 +1816,9 @@ mod tests {
         let mut bad_id = frame.clone();
         bad_id.frame_id = 10;
         assert!(!bad_id.verify());
+        let mut bad_floor = frame.clone();
+        bad_floor.floor = 7;
+        assert!(!bad_floor.verify(), "the sender floor is CRC-covered");
         let ack = Ack::new(9, 1);
         assert!(ack.verify());
         let mut bad_ack = ack;
@@ -1733,10 +1839,10 @@ mod tests {
             bytes: payload[offset..end].to_vec(),
         };
         // Out of order, with a duplicate middle and an overlapping cut.
-        let f1 = UplinkFrame::new(0, FrameKind::Data, vec![frag(20, 40, true)]);
-        let f2 = UplinkFrame::new(1, FrameKind::Data, vec![frag(10, 25, false)]);
-        let f3 = UplinkFrame::new(2, FrameKind::Data, vec![frag(10, 25, false)]);
-        let f4 = UplinkFrame::new(3, FrameKind::Data, vec![frag(0, 12, false)]);
+        let f1 = UplinkFrame::new(0, FrameKind::Data, 0, vec![frag(20, 40, true)]);
+        let f2 = UplinkFrame::new(1, FrameKind::Data, 0, vec![frag(10, 25, false)]);
+        let f3 = UplinkFrame::new(2, FrameKind::Data, 0, vec![frag(10, 25, false)]);
+        let f4 = UplinkFrame::new(3, FrameKind::Data, 0, vec![frag(0, 12, false)]);
         for f in [&f1, &f2, &f3, &f4] {
             rx.on_frame(f);
         }
@@ -1754,6 +1860,7 @@ mod tests {
             UplinkFrame::new(
                 100 + seq,
                 FrameKind::Data,
+                0,
                 vec![WireFragment {
                     seq,
                     offset: 0,
@@ -1778,6 +1885,7 @@ mod tests {
         let f = UplinkFrame::new(
             0,
             FrameKind::Data,
+            0,
             vec![WireFragment {
                 seq: 1,
                 offset: 0,
@@ -1794,11 +1902,72 @@ mod tests {
     }
 
     #[test]
+    fn receiver_skips_sequences_below_the_sender_floor() {
+        let mut rx = Receiver::new();
+        let whole = |id: u64, floor: u64, seq: u64| {
+            UplinkFrame::new(
+                id,
+                FrameKind::Data,
+                floor,
+                vec![WireFragment {
+                    seq,
+                    offset: 0,
+                    last: true,
+                    bytes: vec![seq as u8; 4],
+                }],
+            )
+        };
+        rx.on_frame(&whole(0, 0, 1));
+        // Half of record 3 arrives, then 4 whole; 2 and 3 never will.
+        rx.on_frame(&UplinkFrame::new(
+            1,
+            FrameKind::Data,
+            0,
+            vec![WireFragment {
+                seq: 3,
+                offset: 0,
+                last: false,
+                bytes: vec![3; 2],
+            }],
+        ));
+        rx.on_frame(&whole(2, 0, 4));
+        assert_eq!(rx.take_ordered().len(), 1, "4 waits behind the hole at 2");
+        // The sender can deliver nothing below 5: 2 and 3 are lost.
+        let ack = rx.on_frame(&whole(3, 5, 6)).expect("acked");
+        assert_eq!(ack.cumulative_seq, 4);
+        assert_eq!(
+            rx.take_ordered()
+                .iter()
+                .map(|(s, _)| *s)
+                .collect::<Vec<_>>(),
+            [4]
+        );
+        assert_eq!(rx.counters().records_lost, 2);
+        assert!(rx.partial.is_empty(), "partial record 3 dropped");
+        // A late copy of a lost record is a duplicate, never released.
+        rx.on_frame(&whole(4, 0, 2));
+        assert!(rx.take_ordered().is_empty(), "6 still waits for 5");
+        assert_eq!(rx.counters().records_delivered, 3);
+        // A floor-only frame (no fragments) moves the cursor by itself.
+        let empty = UplinkFrame::new(5, FrameKind::Data, 9, Vec::new());
+        assert_eq!(rx.on_frame(&empty).expect("acked").cumulative_seq, 8);
+        assert_eq!(
+            rx.take_ordered()
+                .iter()
+                .map(|(s, _)| *s)
+                .collect::<Vec<_>>(),
+            [6]
+        );
+        assert_eq!(rx.counters().records_lost, 5);
+    }
+
+    #[test]
     fn zero_length_record_delivers() {
         let mut rx = Receiver::new();
         let f = UplinkFrame::new(
             0,
             FrameKind::Data,
+            0,
             vec![WireFragment {
                 seq: 1,
                 offset: 0,
@@ -1860,8 +2029,9 @@ mod tests {
         let mut up = Uplink::new(small_cfg());
         let mut rx = Receiver::new();
         let mut link = PerfectLink::new(2);
-        let report = run_session(&recs, &mut up, &mut rx, &mut link, 10_000);
+        let (report, released) = session("perfect", &recs, &mut up, &mut rx, &mut link, 10_000);
         assert!(report.completed);
+        assert_eq!(released, recs, "exactly once, in capture order");
         assert_eq!(report.delivered_records, 40);
         assert_eq!(report.final_acked_seq, 40);
         assert_eq!(report.uplink.retries, 0);
@@ -1907,8 +2077,9 @@ mod tests {
         let mut up = Uplink::new(small_cfg());
         let mut rx = Receiver::new();
         let mut link = FaultyLink::new(FaultSpec::lossy(2, 0.3), 11);
-        let report = run_session(&recs, &mut up, &mut rx, &mut link, 50_000);
+        let (report, released) = session("lossy", &recs, &mut up, &mut rx, &mut link, 50_000);
         assert!(report.completed, "30% loss must still drain");
+        assert_eq!(released, recs);
         assert_eq!(report.delivered_records, 60);
         assert_eq!(report.final_acked_seq, 60);
         assert!(report.uplink.retries > 0, "loss must force retries");
@@ -1934,7 +2105,7 @@ mod tests {
                 },
                 seed,
             );
-            let rep = run_session(&recs, &mut up, &mut rx, &mut link, 50_000);
+            let (rep, _) = session("determinism", &recs, &mut up, &mut rx, &mut link, 50_000);
             (rep.ticks, rep.uplink, rep.receiver, link.counters())
         };
         assert_eq!(run(5), run(5), "same seed, same everything");
@@ -1961,6 +2132,7 @@ mod tests {
         for (seq, payload) in records(6, 40) {
             assert!(up.offer(0, seq, payload));
         }
+        up.set_floor(7);
         let mut now = 0;
         while up.breaker_state(now) == BreakerState::Closed && now < 500 {
             up.tick(now, &mut link);
@@ -1969,9 +2141,41 @@ mod tests {
         assert!(matches!(up.breaker_state(now), BreakerState::Open { .. }));
         let rewind = up.take_rewind();
         assert!(!rewind.is_empty(), "trip hands back un-ACKed records");
+        assert!(
+            rewind.iter().all(|&s| s > up.acked_seq()),
+            "nothing below the cumulative cursor is ever cancelled"
+        );
+        assert_eq!(
+            up.wire_floor(),
+            1,
+            "the floor drops to the first cancelled record"
+        );
         assert!(up.idle(), "everything cancelled");
         assert!(!up.can_accept(now), "open breaker refuses offers");
         assert!(up.counters().trips >= 1);
+    }
+
+    #[test]
+    fn floor_only_frame_carries_a_trailing_gap() {
+        // Nothing to send, but sequences 1..=4 are gone at the source:
+        // an empty data frame carries the floor and moves the cursor.
+        let mut up = Uplink::new(small_cfg());
+        let mut rx = Receiver::new();
+        let mut link = PerfectLink::new(1);
+        up.set_floor(5);
+        for now in 0..10u64 {
+            for frame in link.poll_frames(now) {
+                assert!(frame.fragments.is_empty());
+                if let Some(ack) = rx.on_frame(&frame) {
+                    link.send_ack(now, ack);
+                }
+            }
+            up.tick(now, &mut link);
+        }
+        assert_eq!(up.acked_seq(), 4);
+        assert!(up.idle() && link.is_empty(), "one frame, then quiet");
+        assert_eq!(up.counters().frames_sent, 1);
+        assert_eq!(rx.counters().records_lost, 4);
     }
 
     #[test]

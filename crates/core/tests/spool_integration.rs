@@ -1,22 +1,24 @@
 //! Store-and-forward integration: the offline engine spools compressed
-//! egress through a long disconnect, then replays it through the frame
-//! packer with ACK-gated GC (ISSUE 8's 48h-disconnect simulation smoke).
+//! egress through a long disconnect, then `run_session` drains it over
+//! the uplink with ACK-gated GC (the 48h-disconnect simulation smoke).
 //!
 //! Logical time is compressed: one ingested segment per "minute", 48h =
 //! 2880 segments, egress drained to the spool every 10 minutes. The
-//! reconnect protocol is then driven through its failure modes in order:
-//! an interrupted first replay whose ACKs never reach the spool, a spool
-//! node crash and recovery at full backlog depth, the real rate-limited
-//! reconnect with incremental GC, and finally a replay from fully stale
-//! ACK state that the ingest ledger must dedup to zero.
+//! reconnect is then driven through its failure modes in order: an
+//! interrupted first drain whose ACKs never reach the spool, a spool
+//! node crash and recovery at full backlog depth, the real drain with
+//! incremental GC, and finally a drain from fully stale ACK state that
+//! the receiver must dedup to zero.
 
 use adaedge_codecs::{CodecId, CodecRegistry, CompressedBlock};
-use adaedge_core::spooling::{
-    decode_block, run_reconnect, spool_offline_egress, IngestLedger, ReplayConfig, SpoolSink,
+use adaedge_core::spooling::{decode_block, encode_block, spool_offline_egress};
+use adaedge_core::uplink::{
+    run_session, Ack, Capture, FaultSpec, FaultyLink, PerfectLink, Receiver, SessionReport,
+    Transport, Uplink, UplinkConfig, UplinkFrame,
 };
 use adaedge_core::{AggKind, OfflineAdaEdge, OfflineConfig, OptimizationTarget};
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
-use adaedge_storage::spool::{ReplayItem, Spool, SpoolConfig};
+use adaedge_storage::spool::{Spool, SpoolConfig};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -40,6 +42,95 @@ fn spool_cfg(dir: &Path) -> SpoolConfig {
     cfg
 }
 
+/// Hands frames on to `inner`, checking on the way that each one fits
+/// the default payload cap (fragment headers included) and recording
+/// which records each frame completes.
+struct CapChecked<'a> {
+    inner: &'a mut dyn Transport,
+    /// Frames sent: first sends, retransmits and probes.
+    frames: u64,
+    /// Sequences whose last fragment went out, in send order.
+    completed: Vec<u64>,
+}
+
+impl Transport for CapChecked<'_> {
+    fn send_frame(&mut self, now: u64, frame: UplinkFrame) {
+        let cfg = UplinkConfig::default().frame;
+        let used: usize = frame
+            .fragments
+            .iter()
+            .map(|f| cfg.fragment_overhead + f.bytes.len())
+            .sum();
+        assert!(
+            used <= cfg.payload_cap,
+            "frame {} carries {used} bytes, cap {}",
+            frame.frame_id,
+            cfg.payload_cap
+        );
+        self.frames += 1;
+        let done = frame.fragments.iter().filter(|f| f.last).map(|f| f.seq);
+        self.completed.extend(done);
+        self.inner.send_frame(now, frame);
+    }
+    fn send_ack(&mut self, now: u64, ack: Ack) {
+        self.inner.send_ack(now, ack);
+    }
+    fn poll_frames(&mut self, now: u64) -> Vec<UplinkFrame> {
+        self.inner.poll_frames(now)
+    }
+    fn poll_acks(&mut self, now: u64) -> Vec<Ack> {
+        self.inner.poll_acks(now)
+    }
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+}
+
+/// Drain the spool backlog over `link` (no new captures), returning the
+/// report, the released records, each checked to decode end to end, and
+/// the sequences whose last fragment was sent. Every frame on the wire
+/// is checked against the payload cap and counted against the sender's
+/// counters.
+fn drain(
+    spool: &mut Spool,
+    up: &mut Uplink,
+    rx: &mut Receiver,
+    link: &mut dyn Transport,
+    max_ticks: u64,
+) -> (SessionReport, Vec<(u64, Vec<u8>)>, Vec<u64>) {
+    let registry = CodecRegistry::new(4);
+    let mut released = Vec::new();
+    let before = up.counters();
+    let mut link = CapChecked {
+        inner: link,
+        frames: 0,
+        completed: Vec::new(),
+    };
+    let report = run_session(
+        spool,
+        up,
+        rx,
+        &mut link,
+        max_ticks,
+        |_| Capture::Done,
+        |seq, bytes| {
+            let block = decode_block(&bytes).expect("every released record decodes");
+            registry.decompress(&block).expect("and decompresses");
+            released.push((seq, bytes));
+        },
+    )
+    .expect("session");
+    let (u, b) = (&report.uplink, &before);
+    assert_eq!(
+        link.frames,
+        (u.frames_sent - b.frames_sent)
+            + (u.retries - b.retries)
+            + (u.half_open_probes - b.half_open_probes),
+        "every frame on the wire is counted"
+    );
+    (report, released, link.completed)
+}
+
 const MINUTES: u64 = 48 * 60; // 2880 segments, one per logical minute
 const DRAIN_EVERY: u64 = 10;
 
@@ -53,20 +144,22 @@ fn forty_eight_hour_disconnect_spools_and_replays_exactly_once() {
     engine_cfg.precision = 4;
     let mut edge = OfflineAdaEdge::new(engine_cfg).expect("engine");
     let mut stream = CbfStream::new(CbfConfig::default(), 256);
-    let mut sink = SpoolSink::new(Spool::open(cfg.clone()).expect("spool"));
+    let mut spool = Spool::open(cfg.clone()).expect("spool");
 
+    let mut spooled = 0u64;
     for minute in 0..MINUTES {
         edge.ingest(&stream.next_segment()).expect("ingest");
         if (minute + 1) % DRAIN_EVERY == 0 {
             let (blocks, _) =
-                spool_offline_egress(&mut edge, &mut sink, usize::MAX, minute).expect("drain");
+                spool_offline_egress(&mut edge, &mut spool, usize::MAX, minute).expect("drain");
             assert_eq!(blocks as u64, DRAIN_EVERY, "drain ships the whole backlog");
+            spooled += blocks as u64;
         }
     }
     assert_eq!(edge.store().len(), 0, "every segment left the store");
-    assert_eq!(sink.spooled_blocks(), MINUTES);
+    assert_eq!(spooled, MINUTES);
 
-    let depth = sink.spool().stats();
+    let depth = spool.stats();
     assert_eq!(depth.records, MINUTES);
     assert!(depth.closed_segments > 10, "48h must span many segments");
     assert!(
@@ -75,26 +168,33 @@ fn forty_eight_hour_disconnect_spools_and_replays_exactly_once() {
     );
     assert_eq!(depth.durable_seq, MINUTES, "drains sync at ship boundaries");
 
-    // --- Reconnect attempt 1: link dies mid-replay, ACKs are lost. ---
-    // The ingest side receives and ingests 1500 records, but the spool
-    // never hears a single ACK (no GC happens).
-    let mut spool = sink.into_spool();
-    let mut ledger = IngestLedger::new();
-    let mut delivered = 0u64;
-    for item in spool.replayer(0).expect("replayer") {
-        if delivered == 1500 {
-            break; // link drop
-        }
-        match item {
-            ReplayItem::Record(rec) => {
-                assert_eq!(rec.seq, delivered + 1, "capture order");
-                assert!(ledger.accept(rec.seq));
-                delivered += 1;
-            }
-            ReplayItem::Gap { .. } => panic!("healthy spool has no gaps"),
-        }
-    }
-    assert_eq!(ledger.acked_seq(), 1500);
+    // --- Reconnect attempt 1: every ACK is lost on the way back. ---
+    // The receiver ingests a prefix in capture order, but the sender
+    // never hears an ACK, so the spool is never trimmed.
+    let mut rx = Receiver::new();
+    let mut dead_acks = FaultyLink::new(
+        FaultSpec {
+            ack_drop: 1.0,
+            ..FaultSpec::clean(1)
+        },
+        1,
+    );
+    let (cut, prefix, _) = drain(
+        &mut spool,
+        &mut Uplink::new(UplinkConfig::default()),
+        &mut rx,
+        &mut dead_acks,
+        400,
+    );
+    assert!(!cut.completed);
+    let ingested = prefix.len() as u64;
+    assert!(ingested > 0, "the receiver got a prefix");
+    assert!(prefix.iter().zip(1..).all(|((seq, _), want)| *seq == want));
+    assert_eq!(
+        cut.final_acked_seq, ingested,
+        "the cursor covers the prefix"
+    );
+    assert_eq!(cut.uplink.acks_received, 0);
     assert_eq!(spool.stats().records, MINUTES, "no ACKs, no GC");
 
     // --- Spool node power-cycles with the full backlog on disk. ---
@@ -102,75 +202,107 @@ fn forty_eight_hour_disconnect_spools_and_replays_exactly_once() {
     let mut spool = Spool::open(cfg.clone()).expect("recovery");
     assert_eq!(spool.stats().records, MINUTES, "synced backlog survives");
 
-    // --- Reconnect attempt 2: rate-limited replay with incremental GC.
-    // The ledger (ingest side) is the resume authority: replay starts at
-    // its cursor, so the 1500 already-ingested records are not resent.
-    let registry = CodecRegistry::new(4);
-    let replay_cfg = ReplayConfig {
-        records_per_tick: 64,
-        verify_decode: true,
-        ..ReplayConfig::default()
-    };
-    let mut frames = Vec::new();
-    let report = run_reconnect(&mut spool, &mut ledger, &registry, &replay_cfg, |f| {
-        frames.push(f)
-    })
-    .expect("reconnect");
-
-    assert_eq!(report.replayed_records, MINUTES - 1500);
-    assert_eq!(report.ingested_records, MINUTES - 1500);
-    assert_eq!(report.duplicate_records, 0);
-    assert_eq!(report.lost_records, 0);
-    assert_eq!(report.decode_failures, 0, "every block decodes end-to-end");
+    // --- Reconnect attempt 2: a rebooted sender drains the backlog over
+    // a one-frame-per-tick link, with incremental GC. The receiver's
+    // cursor is the resume authority. Neither the spool (it never heard
+    // an ACK) nor the rebooted sender knows that cursor until the first
+    // ACK names it, so the frames sent before then resend the start of
+    // the prefix (under one accept window); from that ACK on, the sender
+    // resumes exactly at the cursor.
+    let mut up = Uplink::new(UplinkConfig {
+        frames_per_tick: 1,
+        ..UplinkConfig::default()
+    });
+    let accept_limit = UplinkConfig::default().accept_limit as u64;
+    let (report, rest, sent) = drain(
+        &mut spool,
+        &mut up,
+        &mut rx,
+        &mut PerfectLink::new(1),
+        100_000,
+    );
+    assert!(report.completed);
+    assert_eq!(report.delivered_records, MINUTES - ingested);
+    assert!(rest
+        .iter()
+        .zip(ingested + 1..)
+        .all(|((seq, _), want)| *seq == want));
+    let (resent, fresh): (Vec<u64>, Vec<u64>) = sent.iter().partition(|&&seq| seq <= ingested);
+    assert!(
+        resent.iter().copied().eq(1..=resent.len() as u64),
+        "only the start of the prefix is resent before the first ACK: {resent:?}"
+    );
+    assert!(
+        fresh.iter().copied().eq(ingested + 1..=MINUTES),
+        "resumes at the receiver's cursor and sends each record once"
+    );
+    // Offers before the first ACK: the resent frames plus records still
+    // queued when the ACK made them stale.
+    let early = report.replayed_records - (MINUTES - ingested);
+    assert!(
+        resent.len() as u64 <= early && early < accept_limit,
+        "{early} records offered before the cursor was known"
+    );
+    assert_eq!(report.uplink.retries, 0);
+    assert_eq!(report.receiver.duplicate_records, 0);
+    assert_eq!(report.receiver.records_lost, 0);
     assert_eq!(report.final_acked_seq, MINUTES);
     assert!(
-        report.ticks >= (MINUTES - 1500) / 64,
-        "rate limit respected"
+        report.ticks >= report.uplink.frames_sent + report.uplink.retries,
+        "link capacity respected"
     );
-    assert!(report.frames_emitted > 0);
-    assert_eq!(report.frames_emitted as usize, frames.len());
-    assert!(report.max_frame_used <= replay_cfg.frame.payload_cap);
-    assert!(
-        report.gc_segments > 0,
-        "GC runs during the replay, not after"
-    );
+    let after = spool.stats();
+    assert!(after.gc_segments > 0, "GC runs during the drain");
     assert_eq!(
-        report.spool.closed_segments, 0,
+        after.closed_segments, 0,
         "every fully-ACKed closed segment was collected"
     );
     assert!(
-        report.spool.records < MINUTES / 10,
+        after.records < MINUTES / 10,
         "spool drained down to the open-segment tail"
     );
 
-    // Conservation: every spooled record was ingested exactly once
+    // Conservation: every spooled record was released exactly once
     // across both attempts.
-    assert_eq!(ledger.accepted(), MINUTES);
-    assert_eq!(ledger.duplicates(), 0);
+    assert_eq!(report.receiver.records_delivered, MINUTES);
 
-    // --- Worst case: total ACK-state loss on the spool side. A replay
-    // from seq 0 resends whatever still exists; the ledger dedups all of
-    // it — at-least-once delivery, exactly-once ingest.
-    let accepted_before = ledger.accepted();
-    let mut resent = 0u64;
-    for item in spool.replayer(0).expect("replayer") {
-        match item {
-            ReplayItem::Record(rec) => {
-                assert!(!ledger.accept(rec.seq), "must dedup, seq {}", rec.seq);
-                resent += 1;
-            }
-            ReplayItem::Gap { from_seq, to_seq } => {
-                // GC'd ranges report as gaps; they are all below the ACK
-                // cursor, so the ledger ignores them.
-                ledger.mark_lost(from_seq, to_seq);
-            }
-        }
-    }
-    assert!(resent > 0, "the open-segment tail is still replayable");
-    assert_eq!(ledger.accepted(), accepted_before, "nothing re-ingested");
-    assert_eq!(ledger.lost(), 0, "GC'd ranges are not data loss");
+    // --- Worst case: total ACK-state loss on the device side. A
+    // restarted spool and sender resend whatever still exists; the
+    // receiver dedups all of it — at-least-once delivery, exactly-once
+    // ingest.
+    drop(spool);
+    let mut spool = Spool::open(cfg).expect("reopen");
+    let (stale, none, _) = drain(
+        &mut spool,
+        &mut Uplink::new(UplinkConfig::default()),
+        &mut rx,
+        &mut PerfectLink::new(1),
+        100_000,
+    );
+    assert!(stale.completed);
+    assert!(
+        stale.replayed_records > 0,
+        "the open-segment tail is resent"
+    );
+    assert!(none.is_empty(), "nothing re-released");
+    assert_eq!(
+        stale.receiver.records_delivered, MINUTES,
+        "nothing re-ingested"
+    );
+    assert_eq!(
+        stale.receiver.records_lost, 0,
+        "GC'd ranges are not data loss"
+    );
     drop(spool);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn raw_block(i: u64) -> Vec<u8> {
+    encode_block(&CompressedBlock {
+        codec: CodecId::Raw,
+        n_points: 12,
+        payload: (0..96u8).map(|b| b.wrapping_mul(i as u8 | 1)).collect(),
+    })
 }
 
 #[test]
@@ -179,21 +311,16 @@ fn retention_pressure_surfaces_bounded_disk_loss_in_replay_report() {
     let mut cfg = spool_cfg(&dir);
     cfg.segment_max_bytes = 2048;
     cfg.max_spool_bytes = Some(16 * 1024);
-    let mut sink = SpoolSink::new(Spool::open(cfg).expect("spool"));
+    let mut spool = Spool::open(cfg).expect("spool");
 
     // A disconnect longer than the disk can hold: 1000 blocks against a
     // 16 KiB cap forces drop-oldest on closed segments.
     let n = 1000u64;
     for i in 0..n {
-        let block = CompressedBlock {
-            codec: CodecId::Raw,
-            n_points: 12,
-            payload: (0..96u8).map(|b| b.wrapping_mul(i as u8 | 1)).collect(),
-        };
-        sink.put_block(i, &block).expect("spool block");
+        spool.append(i, &raw_block(i)).expect("spool block");
     }
-    sink.sync().expect("sync");
-    let depth = sink.spool().stats();
+    spool.sync().expect("sync");
+    let depth = spool.stats();
     assert!(depth.bytes <= 16 * 1024, "byte cap enforced");
     assert!(depth.dropped_segments > 0);
     assert_eq!(
@@ -201,32 +328,96 @@ fn retention_pressure_surfaces_bounded_disk_loss_in_replay_report() {
         "nothing was ACKed, so every drop is surfaced as un-ACKed loss"
     );
 
-    // Reconnect: the dropped prefix comes back as `lost`, the survivors
-    // as ingests, and the ledger's cursor still reaches the end.
-    let mut spool = sink.into_spool();
-    let mut ledger = IngestLedger::new();
-    let registry = CodecRegistry::new(4);
-    let replay_cfg = ReplayConfig {
-        records_per_tick: 32,
-        verify_decode: true,
-        ..ReplayConfig::default()
-    };
-    let report =
-        run_reconnect(&mut spool, &mut ledger, &registry, &replay_cfg, |_| {}).expect("reconnect");
-
-    assert!(report.lost_records > 0, "retention loss must be visible");
-    assert_eq!(report.lost_records, depth.dropped_records);
-    assert_eq!(
-        report.ingested_records + report.lost_records,
-        n,
-        "conservation: every record is either ingested or accounted lost"
+    // Reconnect: the dropped prefix reaches the receiver as lost, the
+    // survivors as releases, and the cursor still reaches the end.
+    let mut rx = Receiver::new();
+    let (report, released, _) = drain(
+        &mut spool,
+        &mut Uplink::new(UplinkConfig::default()),
+        &mut rx,
+        &mut PerfectLink::new(1),
+        100_000,
     );
-    assert_eq!(report.duplicate_records, 0);
-    assert_eq!(report.decode_failures, 0);
+    assert!(report.completed);
+    let lost = report.receiver.records_lost;
+    assert!(lost > 0, "retention loss must be visible");
+    assert_eq!(lost, depth.dropped_records);
+    assert_eq!(
+        report.delivered_records + lost,
+        n,
+        "conservation: every record is either released or accounted lost"
+    );
+    assert_eq!(released.len() as u64, report.delivered_records);
+    assert_eq!(report.receiver.duplicate_records, 0);
     assert_eq!(
         report.final_acked_seq, n,
         "the cursor advances past the loss"
     );
+    drop(spool);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retention_gap_releases_survivors_and_counts_the_range_lost() {
+    // Live delivery, then a disconnect longer than the disk: retention
+    // drops un-ACKed records out of the middle of the sequence. On
+    // reconnect the gap must not wedge the consumer: the survivors after
+    // it are released in capture order, byte-identical, the range is
+    // counted lost, and the ACK cursor reaches the last sequence.
+    let dir = tmpdir("retention-gap");
+    let mut cfg = spool_cfg(&dir);
+    cfg.segment_max_bytes = 2048;
+    cfg.max_spool_bytes = Some(16 * 1024);
+    let mut spool = Spool::open(cfg).expect("spool");
+    let mut up = Uplink::new(UplinkConfig::default());
+    let mut rx = Receiver::new();
+
+    let live = 10u64;
+    for i in 0..live {
+        spool.append(i, &raw_block(i)).expect("append");
+    }
+    let (first, _, _) = drain(
+        &mut spool,
+        &mut up,
+        &mut rx,
+        &mut PerfectLink::new(1),
+        1_000,
+    );
+    assert!(first.completed);
+    assert_eq!(up.acked_seq(), live);
+
+    let n = 600u64;
+    for i in live..n {
+        spool.append(i, &raw_block(i)).expect("append");
+    }
+    let depth = spool.stats();
+    let lost = depth.dropped_unacked_records;
+    assert!(lost > 0, "the disconnect outgrew the disk");
+
+    // Reconnect over a lossy link: retransmits carry the floor too.
+    let mut link = FaultyLink::new(FaultSpec::lossy(1, 0.1), 5);
+    let (report, released, _) = drain(&mut spool, &mut up, &mut rx, &mut link, 100_000);
+    assert!(
+        report.completed,
+        "the gap must not wedge the drain: {report:?}"
+    );
+    assert_eq!(
+        report.receiver.records_lost, lost,
+        "the range is counted lost"
+    );
+    let first_survivor = live + lost + 1;
+    assert_eq!(released.len() as u64, n - first_survivor + 1);
+    for (i, (seq, bytes)) in released.iter().enumerate() {
+        let want = first_survivor + i as u64;
+        assert_eq!(*seq, want, "survivors in capture order");
+        assert_eq!(bytes, &raw_block(want - 1), "seq {seq} byte-identical");
+    }
+    assert_eq!(
+        report.final_acked_seq, n,
+        "the cursor reaches the last sequence"
+    );
+    assert_eq!(up.acked_seq(), n);
+    assert_eq!(rx.pending_release(), 0);
     drop(spool);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,28 +1,30 @@
 //! Uplink chaos suite: exactly-once, capture-order delivery under every
-//! fault mix the `FaultyLink` can inject (ISSUE 9).
+//! fault mix the `FaultyLink` can inject.
 //!
-//! Each scenario drives a real `Uplink`/`Receiver` pair over a seeded
-//! fault-injecting link in virtual time and then checks the strongest
-//! property the transport claims: the receiver releases **every offered
-//! record exactly once, byte-identical, in capture order** — no matter
-//! what the link dropped, duplicated, reordered, corrupted or stalled,
-//! on the frame path *or* the ACK path. The final test closes the loop
-//! with a real on-disk spool: a total blackout trips the circuit
-//! breaker into spool-only store-and-forward mode, capture continues,
-//! and recovery re-drains the backlog through the standard
-//! `run_reconnect` path into the same ingest ledger with zero loss.
+//! Each scenario spools its records on disk and drains them with
+//! `run_session` — the one `Spool → Uplink → Transport → Receiver` path
+//! — over a seeded fault-injecting link in virtual time, then checks the
+//! strongest property the transport claims: the receiver releases
+//! **every captured record exactly once, byte-identical, in capture
+//! order** — no matter what the link dropped, duplicated, reordered,
+//! corrupted or stalled, on the frame path *or* the ACK path. The
+//! blackout tests capture live while the link goes dark: the circuit
+//! breaker trips into spool-only store-and-forward mode, capture
+//! continues into the spool, and after half-open recovery the same
+//! session re-drains the backlog from the spool with zero loss.
 
-use adaedge_codecs::CodecRegistry;
-use adaedge_core::spooling::{run_reconnect, ReplayConfig};
+use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_core::spooling::{decode_block, encode_block};
 use adaedge_core::uplink::{
-    run_session, BackoffConfig, BreakerConfig, BreakerState, FaultSpec, FaultyLink, Phase,
-    Receiver, Transport, Uplink, UplinkConfig,
+    run_session, BackoffConfig, BreakerConfig, BreakerState, Capture, FaultSpec, FaultyLink, Phase,
+    Receiver, SessionReport, Uplink, UplinkConfig,
 };
 use adaedge_core::FrameConfig;
+use adaedge_datasets::{SegmentSource, SineStream};
 use adaedge_storage::spool::{Spool, SpoolConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -34,6 +36,13 @@ fn tmpdir(name: &str) -> PathBuf {
     ));
     std::fs::remove_dir_all(&p).ok();
     p
+}
+
+fn open_spool(dir: &Path) -> Spool {
+    let mut cfg = SpoolConfig::new(dir);
+    cfg.sync_interval = Duration::from_secs(3600);
+    cfg.segment_max_bytes = 4096;
+    Spool::open(cfg).expect("spool")
 }
 
 /// Deterministic capture-order records with varied sizes; ~5% are larger
@@ -81,51 +90,58 @@ fn chaos_cfg() -> UplinkConfig {
     }
 }
 
-/// Drive `recs` through a fresh uplink/receiver over `link`, collecting
-/// every record the receiver releases. Mirrors `run_session`'s tick
-/// protocol but keeps the released payloads so callers can assert
-/// byte-identical capture-order delivery.
+/// Spool `recs` and drain them through a fresh uplink/receiver over
+/// `link` with `run_session`, collecting every record the receiver
+/// releases so callers can assert byte-identical capture-order delivery.
+fn drain(
+    recs: &[(u64, Vec<u8>)],
+    cfg: UplinkConfig,
+    link: &mut FaultyLink,
+    max_ticks: u64,
+) -> (Vec<(u64, Vec<u8>)>, SessionReport) {
+    let dir = tmpdir(&format!("drive-{}", recs.len()));
+    let mut spool = open_spool(&dir);
+    for (seq, p) in recs {
+        assert_eq!(spool.append(0, p).expect("append"), *seq);
+    }
+    let mut delivered: Vec<(u64, Vec<u8>)> = Vec::new();
+    let report = run_session(
+        &mut spool,
+        &mut Uplink::new(cfg),
+        &mut Receiver::new(),
+        link,
+        max_ticks,
+        |_| Capture::Done,
+        |seq, bytes| delivered.push((seq, bytes)),
+    )
+    .expect("session");
+    drop(spool);
+    std::fs::remove_dir_all(&dir).ok();
+    (delivered, report)
+}
+
+/// [`drain`] over a link that is lossy but never dead.
 fn drive(
     recs: &[(u64, Vec<u8>)],
     cfg: UplinkConfig,
     link: &mut FaultyLink,
     max_ticks: u64,
-) -> (Vec<(u64, Vec<u8>)>, Uplink, Receiver, bool) {
-    let mut up = Uplink::new(cfg);
-    let mut rx = Receiver::new();
-    let mut next = 0usize;
-    let mut delivered: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut completed = false;
-    for now in 0..max_ticks {
-        for frame in link.poll_frames(now) {
-            if let Some(ack) = rx.on_frame(&frame) {
-                link.send_ack(now, ack);
-            }
-        }
-        delivered.extend(rx.take_ordered());
-        up.tick(now, link);
-        assert!(
-            up.take_rewind().is_empty(),
-            "breaker must stay closed in this scenario"
-        );
-        while next < recs.len() && up.can_accept(now) {
-            let (seq, p) = &recs[next];
-            assert!(up.offer(now, *seq, p.clone()));
-            next += 1;
-        }
-        up.set_external_backlog(recs.len() - next);
-        if next == recs.len() && up.idle() && link.is_empty() {
-            completed = true;
-            break;
-        }
-    }
-    delivered.extend(rx.take_ordered());
-    (delivered, up, rx, completed)
+) -> (Vec<(u64, Vec<u8>)>, SessionReport) {
+    let (delivered, report) = drain(recs, cfg, link, max_ticks);
+    assert_eq!(
+        report.uplink.trips, 0,
+        "breaker must stay closed in this scenario"
+    );
+    (delivered, report)
 }
 
 /// The exactly-once contract: the delivered sequence IS the capture
 /// sequence — same seqs, same order, same bytes.
-fn assert_exactly_once(recs: &[(u64, Vec<u8>)], delivered: &[(u64, Vec<u8>)], rx: &Receiver) {
+fn assert_exactly_once(
+    recs: &[(u64, Vec<u8>)],
+    delivered: &[(u64, Vec<u8>)],
+    report: &SessionReport,
+) {
     assert_eq!(
         delivered.len(),
         recs.len(),
@@ -137,37 +153,37 @@ fn assert_exactly_once(recs: &[(u64, Vec<u8>)], delivered: &[(u64, Vec<u8>)], rx
         assert_eq!(want_seq, got_seq, "capture order");
         assert_eq!(want, got, "seq {want_seq} byte-identical");
     }
-    assert_eq!(rx.counters().records_delivered, recs.len() as u64);
+    assert_eq!(report.receiver.records_delivered, recs.len() as u64);
 }
 
 #[test]
 fn clean_link_delivers_everything_exactly_once() {
     let recs = records(80, 1);
     let mut link = FaultyLink::new(FaultSpec::clean(2), 1);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 5_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
-    assert_eq!(up.counters().retries, 0, "a clean link needs no retries");
-    assert_eq!(up.acked_seq(), 80);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 5_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
+    assert_eq!(report.uplink.retries, 0, "a clean link needs no retries");
+    assert_eq!(report.final_acked_seq, 80);
 }
 
 #[test]
 fn twenty_percent_loss_delivers_exactly_once_in_order() {
     let recs = records(80, 2);
     let mut link = FaultyLink::new(FaultSpec::lossy(2, 0.20), 2);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     let lc = link.counters();
     assert!(lc.frames_dropped > 0, "the loss must actually fire");
     assert!(
-        up.counters().retries > 0,
+        report.uplink.retries > 0,
         "loss must be repaired by retries"
     );
     // Sender-side conservation: every link transmission is accounted for.
     assert_eq!(
         lc.frames_sent,
-        up.counters().frames_sent + up.counters().retries + up.counters().half_open_probes
+        report.uplink.frames_sent + report.uplink.retries + report.uplink.half_open_probes
     );
 }
 
@@ -180,12 +196,12 @@ fn duplicate_heavy_link_is_deduped() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 3);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     assert!(link.counters().frames_duplicated > 0);
     assert!(
-        rx.counters().duplicate_fragments > 0 || rx.counters().duplicate_records > 0,
+        report.receiver.duplicate_fragments > 0 || report.receiver.duplicate_records > 0,
         "duplicates must reach the dedup path, not vanish"
     );
 }
@@ -199,9 +215,9 @@ fn reorder_heavy_link_releases_in_capture_order() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 4);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     assert!(link.counters().frames_reordered > 0);
 }
 
@@ -213,12 +229,12 @@ fn corrupted_frames_are_rejected_and_retried() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 5);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     assert!(link.counters().frames_corrupted > 0);
     assert_eq!(
-        rx.counters().frames_rejected,
+        report.receiver.frames_rejected,
         link.counters().frames_corrupted,
         "every corrupted frame is caught by the CRC, none ingested"
     );
@@ -237,16 +253,16 @@ fn ack_path_faults_cause_no_duplicates_or_loss() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 6);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     let lc = link.counters();
     assert!(lc.acks_dropped > 0 && lc.acks_corrupted > 0);
     // A corrupted ACK may also be duplicated, so the sender can reject
     // more copies than the link counted corruption events.
-    assert!(up.counters().acks_rejected >= lc.acks_corrupted);
+    assert!(report.uplink.acks_rejected >= lc.acks_corrupted);
     assert!(
-        rx.counters().duplicate_fragments > 0 || rx.counters().duplicate_records > 0,
+        report.receiver.duplicate_fragments > 0 || report.receiver.duplicate_records > 0,
         "lost ACKs must force spurious retransmits that the receiver dedups"
     );
 }
@@ -266,9 +282,9 @@ fn combined_fault_mix_survives() {
         ..FaultSpec::clean(2)
     };
     let mut link = FaultyLink::new(spec, 7);
-    let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 40_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 40_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
 }
 
 #[test]
@@ -287,18 +303,19 @@ fn phase_schedule_heavy_loss_then_clean_completes() {
         },
     ];
     let mut link = FaultyLink::with_schedule(schedule, 8);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 20_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 20_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     assert!(link.counters().frames_dropped > 0);
-    assert!(up.counters().retries > 0);
+    assert!(report.uplink.retries > 0);
 }
 
 #[test]
 fn stall_then_recovery_trips_breaker_and_redelivers_everything() {
     // A total blackout mid-stream: frames time out, the breaker trips,
-    // cancelled records are handed back, and `run_session` re-offers
-    // them once the link heals — nothing is lost, nothing doubles.
+    // cancelled records are handed back, and `run_session` re-reads
+    // them from the spool once the link heals — nothing is lost,
+    // nothing doubles.
     let recs = records(40, 9);
     let schedule = vec![
         Phase {
@@ -337,10 +354,9 @@ fn stall_then_recovery_trips_breaker_and_redelivers_everything() {
         },
         ..UplinkConfig::default()
     };
-    let mut up = Uplink::new(cfg);
-    let mut rx = Receiver::new();
-    let report = run_session(&recs, &mut up, &mut rx, &mut link, 20_000);
+    let (delivered, report) = drain(&recs, cfg, &mut link, 20_000);
     assert!(report.completed, "recovery must finish: {report:?}");
+    assert_exactly_once(&recs, &delivered, &report);
     assert_eq!(report.delivered_records, 40);
     assert_eq!(report.final_acked_seq, 40);
     assert!(
@@ -377,9 +393,9 @@ fn seeded_fault_sweep_is_exactly_once_everywhere() {
         };
         let recs = records(50, seed);
         let mut link = FaultyLink::new(spec, seed);
-        let (delivered, _up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 60_000);
-        assert!(completed, "seed {seed} did not drain: {spec:?}");
-        assert_exactly_once(&recs, &delivered, &rx);
+        let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 60_000);
+        assert!(report.completed, "seed {seed} did not drain: {spec:?}");
+        assert_exactly_once(&recs, &delivered, &report);
     }
 }
 
@@ -397,49 +413,19 @@ fn long_soak_smoke_under_sustained_faults() {
         ..FaultSpec::clean(1)
     };
     let mut link = FaultyLink::new(spec, 10);
-    let (delivered, up, rx, completed) = drive(&recs, chaos_cfg(), &mut link, 200_000);
-    assert!(completed);
-    assert_exactly_once(&recs, &delivered, &rx);
+    let (delivered, report) = drive(&recs, chaos_cfg(), &mut link, 200_000);
+    assert!(report.completed);
+    assert_exactly_once(&recs, &delivered, &report);
     assert_eq!(
         link.counters().frames_sent,
-        up.counters().frames_sent + up.counters().retries + up.counters().half_open_probes
+        report.uplink.frames_sent + report.uplink.retries + report.uplink.half_open_probes
     );
 }
 
-#[test]
-fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
-    // The full store-and-forward loop with a real on-disk spool:
-    //
-    //   capture ──▶ spool (always, durability)
-    //          └──▶ uplink ──▶ FaultyLink ──▶ receiver/ledger  (live)
-    //
-    // A blackout trips the breaker; live sends stop (spool-only mode)
-    // while capture continues. When the link heals the breaker probes
-    // half-open, closes, and the backlog re-drains through the standard
-    // `run_reconnect` replay into the SAME ledger — every captured
-    // record lands exactly once, with ACK-gated GC along the way.
-    let dir = tmpdir("blackout");
-    let mut spool_cfg = SpoolConfig::new(&dir);
-    spool_cfg.sync_interval = Duration::from_secs(3600);
-    spool_cfg.segment_max_bytes = 4096;
-    let mut spool = Spool::open(spool_cfg).expect("spool");
-
-    let schedule = vec![
-        Phase {
-            until_tick: 30,
-            spec: FaultSpec::clean(2),
-        },
-        Phase {
-            until_tick: 250,
-            spec: FaultSpec::stalled(),
-        },
-        Phase {
-            until_tick: u64::MAX,
-            spec: FaultSpec::clean(2),
-        },
-    ];
-    let mut link = FaultyLink::with_schedule(schedule, 11);
-    let cfg = UplinkConfig {
+/// The blackout uplink: short deadlines and a hair-trigger breaker, so a
+/// stalled link trips it within a few frames.
+fn blackout_cfg() -> UplinkConfig {
+    UplinkConfig {
         window: 4,
         deadline_ticks: 12,
         max_retries: 1,
@@ -454,97 +440,164 @@ fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
             probes_to_close: 2,
         },
         ..UplinkConfig::default()
-    };
-    let mut up = Uplink::new(cfg);
+    }
+}
+
+/// Clean until `dark_from`, stalled until `dark_until`, then `after`.
+fn blackout_link(dark_from: u64, dark_until: u64, after: FaultSpec, seed: u64) -> FaultyLink {
+    let schedule = vec![
+        Phase {
+            until_tick: dark_from,
+            spec: FaultSpec::clean(2),
+        },
+        Phase {
+            until_tick: dark_until,
+            spec: FaultSpec::stalled(),
+        },
+        Phase {
+            until_tick: u64::MAX,
+            spec: after,
+        },
+    ];
+    FaultyLink::with_schedule(schedule, seed)
+}
+
+#[test]
+fn blackout_trips_to_spool_only_and_recovers_via_reconnect() {
+    // The full store-and-forward loop with a real on-disk spool:
+    //
+    //   capture ──▶ spool (always, durability) ──▶ uplink ──▶ FaultyLink ──▶ receiver
+    //
+    // A blackout trips the breaker; live sends stop (spool-only mode)
+    // while capture continues into the spool. When the link heals the
+    // breaker probes half-open, closes, and the same session re-drains
+    // the backlog from the spool into the same receiver — every captured
+    // record lands exactly once, with ACK-gated GC along the way.
+    let dir = tmpdir("blackout");
+    let mut spool = open_spool(&dir);
+    let mut link = blackout_link(30, 250, FaultSpec::clean(2), 11);
+    let mut up = Uplink::new(blackout_cfg());
     let mut rx = Receiver::new();
 
     let total = 40u64;
     let payload =
         |seq: u64| -> Vec<u8> { (0..160u8).map(|i| i.wrapping_mul(seq as u8 | 1)).collect() };
-
+    // Capture continues at one record per 3 ticks, blackout or not.
     let mut captured = 0u64;
-    let mut tripped = false;
-    let mut rewound_seqs: Vec<u64> = Vec::new();
-    let mut sender_cursor_at_trip = 0u64;
-    let mut recovered = false;
-    for now in 0..4_000u64 {
-        for frame in link.poll_frames(now) {
-            if let Some(ack) = rx.on_frame(&frame) {
-                link.send_ack(now, ack);
+    let report = run_session(
+        &mut spool,
+        &mut up,
+        &mut rx,
+        &mut link,
+        4_000,
+        |now| {
+            if captured == total {
+                Capture::Done
+            } else if now % 3 == 0 {
+                captured += 1;
+                Capture::Record(payload(captured))
+            } else {
+                Capture::Idle
             }
-        }
-        let _ = rx.take_ordered();
-        up.tick(now, &mut link);
-        let rewound = up.take_rewind();
-        if !rewound.is_empty() {
-            // Breaker tripped: the uplink hands back every cancelled
-            // record. They are all already durable in the spool, so the
-            // device simply switches to spool-only mode.
-            if !tripped {
-                sender_cursor_at_trip = up.acked_seq();
-            }
-            tripped = true;
-            rewound_seqs.extend(rewound);
-        }
-        // Capture continues at one record per 3 ticks, blackout or not.
-        if now % 3 == 0 && captured < total {
-            captured += 1;
-            let seq = spool.append(now, &payload(captured)).expect("append");
-            assert_eq!(seq, captured);
-            if !tripped && up.can_accept(now) {
-                assert!(up.offer(now, seq, payload(captured)));
-            }
-        }
-        // ACK-gated GC: the spool trims as the cumulative cursor moves.
-        spool.ack(up.acked_seq()).expect("ack");
-        if tripped
-            && now > 260
-            && captured == total
-            && matches!(up.breaker_state(now), BreakerState::Closed)
-        {
-            recovered = true;
-            break;
-        }
-    }
-    assert!(tripped, "the blackout must trip the breaker");
-    assert!(recovered, "the breaker must close again on a healed link");
-    assert!(!rewound_seqs.is_empty());
-    assert!(up.counters().trips >= 1);
-    assert!(up.counters().half_open_probes >= 2);
-    assert!(up.counters().cancelled_on_trip > 0);
-    let live_cursor = rx.acked_seq();
+        },
+        |_, _| {},
+    )
+    .expect("session");
+    assert!(report.completed, "the backlog must drain: {report:?}");
+    assert_eq!(report.captured_records, total);
     assert!(
-        live_cursor < total,
-        "the blackout must leave a backlog to re-drain"
+        report.uplink.trips >= 1,
+        "the blackout must trip the breaker"
     );
-    // Cancellation only ever touches records the sender had not seen
-    // ACKed when the breaker tripped. (The receiver's cursor can later
-    // pass some of them: frames parked inside the stalled link flush
-    // out when the stall ends — the ledger dedups those on replay.)
-    assert!(
-        rewound_seqs.iter().all(|&s| s > sender_cursor_at_trip),
-        "nothing below the sender's cumulative cursor is ever cancelled"
-    );
-
-    // Recovery: re-drain the spool backlog through the standard
-    // reconnect replay, into the same ledger the live path fed.
-    spool.sync().expect("sync");
-    let registry = CodecRegistry::new(4);
-    let replay_cfg = ReplayConfig {
-        records_per_tick: 8,
-        ..ReplayConfig::default()
-    };
-    let report = run_reconnect(&mut spool, rx.ledger_mut(), &registry, &replay_cfg, |_| {})
-        .expect("reconnect");
-    assert_eq!(report.final_acked_seq, total);
-    assert_eq!(report.lost_records, 0, "zero un-ACKed loss");
     assert_eq!(
-        report.ingested_records,
-        total - live_cursor - report.duplicate_records,
-        "replay fills exactly the gap the blackout left"
+        up.breaker_state(report.ticks),
+        BreakerState::Closed,
+        "the breaker must close again on a healed link"
     );
-    assert_eq!(rx.ledger_mut().accepted(), total, "exactly-once overall");
-    assert_eq!(rx.ledger_mut().lost(), 0);
+    assert!(report.uplink.half_open_probes >= 2);
+    assert!(report.uplink.cancelled_on_trip > 0);
+    assert!(
+        report.replayed_records > 0,
+        "the blackout must leave a backlog to re-drain from the spool"
+    );
+    assert_eq!(report.final_acked_seq, total);
+    assert_eq!(report.receiver.records_lost, 0, "zero un-ACKed loss");
+    assert_eq!(
+        report.receiver.records_delivered, total,
+        "exactly-once overall"
+    );
+    assert_eq!(report.delivered_records, total);
+    let depth = spool.stats();
+    assert_eq!(depth.acked_seq, total, "the spool heard the final ACK");
+    assert_eq!(depth.closed_segments, 0, "ACK-gated GC trimmed the backlog");
+    assert!(depth.gc_segments > 0);
+    drop(spool);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn blackout_releases_every_captured_record_in_capture_order() {
+    // The consumer's view of a blackout: real compressed segments are
+    // captured every tick, the link goes dark and then comes back lossy,
+    // and what the receiver *releases* must be every captured record,
+    // byte-identical, in capture order, each one decoding back to the
+    // segment that was captured. Counting ingests is not enough: a record
+    // the ledger admits but nobody releases is lost to the consumer.
+    let dir = tmpdir("blackout-release");
+    let mut spool = open_spool(&dir);
+    let mut link = blackout_link(25, 200, FaultSpec::lossy(2, 0.15), 12);
+    let mut up = Uplink::new(UplinkConfig {
+        max_retries: 8,
+        ..blackout_cfg()
+    });
+    let mut rx = Receiver::new();
+    let registry = CodecRegistry::new(4);
+    let codecs = [CodecId::Gorilla, CodecId::Sprintz, CodecId::Snappy];
+    let mut stream = SineStream::new(64, 0.1, 4, 12);
+    let total = 120usize;
+    let mut segments: Vec<Vec<f64>> = Vec::new();
+    let mut encoded: Vec<Vec<u8>> = Vec::new();
+    let mut released: Vec<(u64, Vec<u8>)> = Vec::new();
+    let report = run_session(
+        &mut spool,
+        &mut up,
+        &mut rx,
+        &mut link,
+        20_000,
+        |_| {
+            if segments.len() == total {
+                return Capture::Done;
+            }
+            let seg = stream.next_segment();
+            let codec = codecs[segments.len() % codecs.len()];
+            let block = registry.get(codec).compress(&seg).expect("compress");
+            let bytes = encode_block(&block);
+            segments.push(seg);
+            encoded.push(bytes.clone());
+            Capture::Record(bytes)
+        },
+        |seq, bytes| released.push((seq, bytes)),
+    )
+    .expect("session");
+    assert!(report.completed, "recovery must finish: {report:?}");
+    assert!(
+        report.uplink.trips >= 1,
+        "the blackout must trip the breaker"
+    );
+    assert!(
+        report.replayed_records > 0,
+        "the backlog drains from the spool"
+    );
+    assert_eq!(released.len(), total, "every captured record is released");
+    for (i, (seq, bytes)) in released.iter().enumerate() {
+        assert_eq!(*seq, i as u64 + 1, "capture order");
+        assert_eq!(bytes, &encoded[i], "seq {seq} byte-identical");
+        let block = decode_block(bytes).expect("decodes");
+        let values = registry.decompress(&block).expect("decompresses");
+        assert_eq!(values, segments[i], "seq {seq} decodes to its segment");
+    }
+    assert_eq!(report.receiver.records_lost, 0);
+    assert_eq!(rx.pending_release(), 0, "nothing admitted but unreleased");
     drop(spool);
     std::fs::remove_dir_all(&dir).ok();
 }

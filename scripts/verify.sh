@@ -67,4 +67,19 @@ cargo run --release -q -p adaedge-bench --bin spool_throughput -- --quick
 echo "==> uplink goodput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin uplink_goodput -- --quick
 
+# perfbench is its own workspace (the repo's benchmark), so the steps
+# above never compile it; these catch a core API change that breaks it.
+# Offline, cargo drops two stale entries from perfbench/Cargo.lock; the
+# lockfile is restored on exit and the build goes to target/perfbench,
+# so the gate leaves perfbench/ as it found it.
+lock_copy="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" perfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
+
+echo "==> perfbench build (separate workspace, release)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
+echo "==> perfbench unit tests (release)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "verify: OK"

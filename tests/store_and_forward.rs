@@ -7,8 +7,9 @@
 
 use adaedge::codecs::faultkit;
 use adaedge::codecs::CodecRegistry;
-use adaedge::core::spooling::{
-    run_reconnect, spool_offline_egress, IngestLedger, ReplayConfig, SpoolSink,
+use adaedge::core::spooling::{decode_block, spool_offline_egress};
+use adaedge::core::uplink::{
+    run_session, Ack, Capture, PerfectLink, Receiver, Transport, Uplink, UplinkConfig, UplinkFrame,
 };
 use adaedge::core::{AggKind, OfflineAdaEdge, OfflineConfig, OptimizationTarget};
 use adaedge::datasets::{CbfConfig, CbfStream, SegmentSource};
@@ -27,6 +28,39 @@ fn tmpdir() -> PathBuf {
     p
 }
 
+/// A perfect link that checks every frame against the default payload
+/// cap (fragment headers included) and counts the frames sent.
+struct CapCheckedLink {
+    inner: PerfectLink,
+    frames: u64,
+}
+
+impl Transport for CapCheckedLink {
+    fn send_frame(&mut self, now: u64, frame: UplinkFrame) {
+        let cfg = UplinkConfig::default().frame;
+        let used: usize = frame
+            .fragments
+            .iter()
+            .map(|f| cfg.fragment_overhead + f.bytes.len())
+            .sum();
+        assert!(used <= cfg.payload_cap, "frame over cap: {used}");
+        self.frames += 1;
+        self.inner.send_frame(now, frame);
+    }
+    fn send_ack(&mut self, now: u64, ack: Ack) {
+        self.inner.send_ack(now, ack);
+    }
+    fn poll_frames(&mut self, now: u64) -> Vec<UplinkFrame> {
+        self.inner.poll_frames(now)
+    }
+    fn poll_acks(&mut self, now: u64) -> Vec<Ack> {
+        self.inner.poll_acks(now)
+    }
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+}
+
 #[test]
 fn disconnect_crash_reconnect_delivers_every_segment_exactly_once() {
     let dir = tmpdir();
@@ -40,19 +74,21 @@ fn disconnect_crash_reconnect_delivers_every_segment_exactly_once() {
     engine_cfg.precision = 4;
     let mut edge = OfflineAdaEdge::new(engine_cfg).expect("engine");
     let mut stream = CbfStream::new(CbfConfig::default(), 256);
-    let mut sink = SpoolSink::new(Spool::open(cfg.clone()).expect("spool"));
+    let mut spool = Spool::open(cfg.clone()).expect("spool");
+    let mut spooled = 0;
     for tick in 0..60u64 {
         edge.ingest(&stream.next_segment()).expect("ingest");
         if (tick + 1) % 10 == 0 {
-            spool_offline_egress(&mut edge, &mut sink, usize::MAX, tick).expect("drain");
+            let (blocks, _) =
+                spool_offline_egress(&mut edge, &mut spool, usize::MAX, tick).expect("drain");
+            spooled += blocks;
         }
     }
-    assert_eq!(sink.spooled_blocks(), 60);
-    let durable = sink.spool().stats().durable_seq;
+    assert_eq!(spooled, 60);
+    let durable = spool.stats().durable_seq;
     assert_eq!(durable, 60, "drains sync at ship boundaries");
 
     // Power cut: tear the open segment's unsynced tail, then recover.
-    let spool = sink.into_spool();
     let path = spool.open_segment_path().expect("open segment");
     let synced = spool.open_segment_synced_bytes();
     let len = spool.open_segment_len();
@@ -67,37 +103,58 @@ fn disconnect_crash_reconnect_delivers_every_segment_exactly_once() {
         "everything below the durable horizon survives the crash"
     );
 
-    // Reconnect: replay through the frame packer, ACK-gated GC, dedup.
+    // Reconnect: drain the spool over the uplink, ACK-gated GC, dedup.
     let registry = CodecRegistry::new(4);
-    let replay_cfg = ReplayConfig {
-        records_per_tick: 8,
-        verify_decode: true,
-        ..ReplayConfig::default()
+    let mut rx = Receiver::new();
+    let mut released = Vec::new();
+    let mut link = CapCheckedLink {
+        inner: PerfectLink::new(1),
+        frames: 0,
     };
-    let mut ledger = IngestLedger::new();
-    let mut frames = 0usize;
-    let report = run_reconnect(&mut spool, &mut ledger, &registry, &replay_cfg, |f| {
-        assert!(f.used <= replay_cfg.frame.payload_cap);
-        frames += 1;
-    })
+    let report = run_session(
+        &mut spool,
+        &mut Uplink::new(UplinkConfig::default()),
+        &mut rx,
+        &mut link,
+        10_000,
+        |_| Capture::Done,
+        |seq, bytes| released.push((seq, bytes)),
+    )
     .expect("reconnect");
 
-    assert_eq!(report.ingested_records, 60, "exactly once");
-    assert_eq!(report.duplicate_records, 0);
-    assert_eq!(report.lost_records, 0);
-    assert_eq!(report.decode_failures, 0);
+    assert!(report.completed);
+    assert_eq!(released.len(), 60, "exactly once");
+    for (i, (seq, bytes)) in released.iter().enumerate() {
+        assert_eq!(*seq, i as u64 + 1, "capture order");
+        let block = decode_block(bytes).expect("decodes");
+        registry.decompress(&block).expect("decompresses");
+    }
+    assert_eq!(report.receiver.duplicate_records, 0);
+    assert_eq!(report.receiver.records_lost, 0);
     assert_eq!(report.final_acked_seq, 60);
-    assert_eq!(report.frames_emitted as usize, frames);
-    assert!(frames > 0);
+    assert!(link.frames > 0);
+    assert_eq!(report.uplink.retries, 0);
+    assert_eq!(link.frames, report.uplink.frames_sent);
     assert_eq!(
-        report.spool.closed_segments, 0,
+        spool.stats().closed_segments,
+        0,
         "ACK-gated GC collected the backlog"
     );
 
-    // A second reconnect finds nothing new: the ledger is the authority.
-    let report2 = run_reconnect(&mut spool, &mut ledger, &registry, &replay_cfg, |_| {})
-        .expect("reconnect again");
-    assert_eq!(report2.ingested_records, 0);
+    // A second drain from a restarted sender delivers nothing new: the
+    // receiver's cursor is the authority.
+    let report2 = run_session(
+        &mut spool,
+        &mut Uplink::new(UplinkConfig::default()),
+        &mut rx,
+        &mut PerfectLink::new(1),
+        10_000,
+        |_| Capture::Done,
+        |seq, _| panic!("seq {seq} released twice"),
+    )
+    .expect("reconnect again");
+    assert!(report2.completed);
+    assert_eq!(report2.delivered_records, 0);
     assert_eq!(report2.final_acked_seq, 60);
     drop(spool);
     std::fs::remove_dir_all(&dir).ok();
