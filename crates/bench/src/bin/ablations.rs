@@ -13,7 +13,7 @@
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin ablations`
 
-use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
+use adaedge_bench::{frozen_model, offline_ml_config, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
 use adaedge_codecs::{CodecId, CodecRegistry};
 use adaedge_core::{
     AggKind, BanditAlgorithm, LosslessSelector, LossySelector, OfflineAdaEdge, OfflineConfig,
@@ -31,11 +31,11 @@ fn run_offline(
     model: &Model,
     budget: usize,
 ) -> (f64, f64) {
-    let mut config = OfflineConfig::new(budget, OptimizationTarget::ml());
-    config.model = Some(model.clone());
-    config.instance_len = INSTANCE_LEN;
-    config.policy = policy;
-    config.band_edges = band_edges;
+    let config = OfflineConfig {
+        policy,
+        band_edges,
+        ..offline_ml_config(budget, model)
+    };
     let mut edge = OfflineAdaEdge::new(config).expect("valid config");
     let mut src = CbfStream::new(CbfConfig::default(), SEGMENT_LEN);
     let mut hot_ids = Vec::new();

@@ -1,18 +1,15 @@
 //! Diagnostic: per-codec damage distribution inside the offline store
 //! after a Figure-12-style run. Not part of the figure set.
 
-use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
-use adaedge_core::{OfflineAdaEdge, OfflineConfig, OptimizationTarget};
+use adaedge_bench::{frozen_model, offline_ml_config, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
+use adaedge_core::OfflineAdaEdge;
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
 use adaedge_ml::metrics;
 use std::collections::HashMap;
 
 fn main() {
     let model = frozen_model(ModelKind::KMeans, 17);
-    let mut config = OfflineConfig::new(1_400_000, OptimizationTarget::ml());
-    config.model = Some(model.clone());
-    config.instance_len = INSTANCE_LEN;
-    let mut edge = OfflineAdaEdge::new(config).unwrap();
+    let mut edge = OfflineAdaEdge::new(offline_ml_config(1_400_000, &model)).unwrap();
     let mut src = CbfStream::new(CbfConfig::default(), SEGMENT_LEN);
     for _ in 0..1000 {
         edge.ingest(&src.next_segment()).unwrap();

@@ -9,32 +9,16 @@
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin fig12_offline_kmeans`
 
-use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
+use adaedge_bench::{frozen_model, offline_ml_config, offline_ml_loss, ModelKind, SEGMENT_LEN};
 use adaedge_codecs::{CodecId, CodecRegistry};
-use adaedge_core::baselines::{FixedPair, FixedPairOffline};
-use adaedge_core::{OfflineAdaEdge, OfflineConfig, OptimizationTarget};
+use adaedge_core::baselines::FixedPair;
+use adaedge_core::OfflineAdaEdge;
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
-use adaedge_ml::{metrics, Model};
 
 /// ≈6× overcommit at reduced absolute scale (floor-limited, like the paper).
 const BUDGET: usize = 1_400_000; // 1.4 MB
 const TOTAL_SEGMENTS: usize = 1000; // ≈8.2 MB of raw doubles
 const CHECKPOINTS: usize = 10;
-
-fn accuracy(model: &Model, pairs: &[(Vec<f64>, Vec<f64>)]) -> f64 {
-    let mut orig_rows = Vec::new();
-    let mut lossy_rows = Vec::new();
-    for (orig, rec) in pairs {
-        for (o, l) in orig
-            .chunks_exact(INSTANCE_LEN)
-            .zip(rec.chunks_exact(INSTANCE_LEN))
-        {
-            orig_rows.push(o.to_vec());
-            lossy_rows.push(l.to_vec());
-        }
-    }
-    metrics::ml_accuracy(model, &orig_rows, &lossy_rows)
-}
 
 fn stream() -> CbfStream {
     CbfStream::new(CbfConfig::default(), SEGMENT_LEN)
@@ -57,38 +41,11 @@ fn main() {
             .collect::<String>()
     );
 
-    // mab_mab: the AdaEdge pipeline.
-    {
-        let mut config = OfflineConfig::new(BUDGET, OptimizationTarget::ml());
-        config.model = Some(model.clone());
-        config.instance_len = INSTANCE_LEN;
-        let mut edge = OfflineAdaEdge::new(config).expect("valid config");
-        let mut src = stream();
-        let mut row = String::new();
-        let mut failed_at = None;
-        for i in 0..TOTAL_SEGMENTS {
-            if edge.ingest(&src.next_segment()).is_err() {
-                failed_at = Some(i);
-                break;
-            }
-            if (i + 1) % checkpoint_every == 0 {
-                let pairs: Vec<(Vec<f64>, Vec<f64>)> = edge
-                    .reconstruct_all()
-                    .unwrap()
-                    .into_iter()
-                    .map(|(_, rec, orig)| (orig.expect("kept"), rec))
-                    .collect();
-                row.push_str(&format!("{:>8.4}", 1.0 - accuracy(&model, &pairs)));
-            }
-        }
-        match failed_at {
-            None => println!("{:<22} {}", "mab_mab", row),
-            Some(i) => println!("{:<22} {} FAILED@{}", "mab_mab", row, i),
-        }
-    }
-
-    // Fixed pairs (the figures' top performers plus the weak ones).
-    let pairs = vec![
+    // mab_mab is the AdaEdge pipeline; each fixed pair (the figures' top
+    // performers plus the weak ones) is the same pipeline with one arm per
+    // roster, so every method runs the same cascade.
+    let base = || offline_ml_config(BUDGET, &model);
+    let pairs = [
         FixedPair::new(CodecId::Sprintz, CodecId::BuffLossy),
         FixedPair::new(CodecId::Gzip, CodecId::BuffLossy),
         FixedPair::new(CodecId::Snappy, CodecId::BuffLossy),
@@ -99,24 +56,25 @@ fn main() {
         FixedPair::new(CodecId::Sprintz, CodecId::Pla),
         FixedPair::new(CodecId::Sprintz, CodecId::RrdSample),
     ];
-    for pair in pairs {
-        let mut driver = FixedPairOffline::new(pair, BUDGET, 4);
+    let methods = std::iter::once(("mab_mab".to_string(), base()))
+        .chain(pairs.iter().map(|p| (p.name(), p.offline_config(base()))));
+    for (name, config) in methods {
+        let mut edge = OfflineAdaEdge::new(config).expect("valid config");
         let mut src = stream();
         let mut row = String::new();
         let mut failed_at = None;
         for i in 0..TOTAL_SEGMENTS {
-            if driver.ingest(&src.next_segment()).is_err() {
+            if edge.ingest(&src.next_segment()).is_err() {
                 failed_at = Some(i);
                 break;
             }
             if (i + 1) % checkpoint_every == 0 {
-                let pairs = driver.reconstruct_all().unwrap();
-                row.push_str(&format!("{:>8.4}", 1.0 - accuracy(&model, &pairs)));
+                row.push_str(&format!("{:>8.4}", offline_ml_loss(&model, &edge)));
             }
         }
         match failed_at {
-            None => println!("{:<22} {}", driver.name(), row),
-            Some(i) => println!("{:<22} {} FAILED@{}", driver.name(), row, i),
+            None => println!("{:<22} {}", name, row),
+            Some(i) => println!("{:<22} {} FAILED@{}", name, row, i),
         }
     }
 

@@ -11,33 +11,17 @@
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin fig14_highfreq`
 
-use adaedge_bench::{frozen_model, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
+use adaedge_bench::{frozen_model, offline_ml_config, offline_ml_loss, ModelKind, SEGMENT_LEN};
 use adaedge_codecs::CodecId;
-use adaedge_core::baselines::{FixedPair, FixedPairOffline};
-use adaedge_core::{OfflineAdaEdge, OfflineConfig, OptimizationTarget};
+use adaedge_core::baselines::FixedPair;
+use adaedge_core::OfflineAdaEdge;
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
-use adaedge_ml::{metrics, Model};
 
 const RATE: f64 = 1_000_000.0; // points per second
 const BUDGET: usize = 10_000_000;
 const TOTAL_SEGMENTS: usize = 8000; // ≈8.2 simulated seconds
 /// Uncompressed-buffer capacity in segments.
 const BUFFER_SEGMENTS: f64 = 16.0;
-
-fn final_accuracy(model: &Model, pairs: &[(Vec<f64>, Vec<f64>)]) -> f64 {
-    let mut orig_rows = Vec::new();
-    let mut lossy_rows = Vec::new();
-    for (orig, rec) in pairs {
-        for (o, l) in orig
-            .chunks_exact(INSTANCE_LEN)
-            .zip(rec.chunks_exact(INSTANCE_LEN))
-        {
-            orig_rows.push(o.to_vec());
-            lossy_rows.push(l.to_vec());
-        }
-    }
-    metrics::ml_accuracy(model, &orig_rows, &lossy_rows)
-}
 
 /// Simulated-time bookkeeping shared by all methods.
 struct Clock {
@@ -81,11 +65,20 @@ fn main() {
         "method", "outcome", "final loss", "max backlog"
     );
 
-    // mab_mab.
-    {
-        let mut config = OfflineConfig::new(BUDGET, OptimizationTarget::ml());
-        config.model = Some(model.clone());
-        config.instance_len = INSTANCE_LEN;
+    // mab_mab, then the fixed pairs including the paper's gorilla-based
+    // failures: each pair is the same pipeline with one arm per roster.
+    let base = || offline_ml_config(BUDGET, &model);
+    let pairs = [
+        FixedPair::new(CodecId::Gzip, CodecId::BuffLossy),
+        FixedPair::new(CodecId::Buff, CodecId::BuffLossy),
+        FixedPair::new(CodecId::Sprintz, CodecId::BuffLossy),
+        FixedPair::new(CodecId::Sprintz, CodecId::Fft),
+        FixedPair::new(CodecId::Gorilla, CodecId::Fft),
+        FixedPair::new(CodecId::Gorilla, CodecId::Pla),
+    ];
+    let methods = std::iter::once(("mab_mab".to_string(), base()))
+        .chain(pairs.iter().map(|p| (p.name(), p.offline_config(base()))));
+    for (name, config) in methods {
         let mut edge = OfflineAdaEdge::new(config).expect("valid config");
         let mut src = CbfStream::new(CbfConfig::default(), SEGMENT_LEN);
         let mut clock = Clock::new();
@@ -111,83 +104,16 @@ fn main() {
         }
         match failure {
             None => {
-                let pairs: Vec<(Vec<f64>, Vec<f64>)> = edge
-                    .reconstruct_all()
-                    .unwrap()
-                    .into_iter()
-                    .map(|(_, rec, orig)| (orig.expect("kept"), rec))
-                    .collect();
                 println!(
                     "{:<22} {:>10} {:>14.4} {:>12.1}",
-                    "mab_mab",
+                    name,
                     "ok",
-                    1.0 - final_accuracy(&model, &pairs),
+                    offline_ml_loss(&model, &edge),
                     max_backlog
                 );
             }
             Some((why, t)) => {
-                println!(
-                    "{:<22} {:>10} FAILED at {:.1}s ({})",
-                    "mab_mab", "FAIL", t, why
-                );
-            }
-        }
-    }
-
-    // Fixed pairs including the paper's gorilla-based failures.
-    let pairs = vec![
-        FixedPair::new(CodecId::Gzip, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Buff, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Sprintz, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Sprintz, CodecId::Fft),
-        FixedPair::new(CodecId::Gorilla, CodecId::Fft),
-        FixedPair::new(CodecId::Gorilla, CodecId::Pla),
-    ];
-    for pair in pairs {
-        let mut driver = FixedPairOffline::new(pair, BUDGET, 4);
-        let mut src = CbfStream::new(CbfConfig::default(), SEGMENT_LEN);
-        let mut clock = Clock::new();
-        let mut max_backlog = 0.0f64;
-        let mut failure = None;
-        let mut prev_compute = 0.0;
-        for i in 0..TOTAL_SEGMENTS {
-            match driver.ingest(&src.next_segment()) {
-                Ok(()) => {
-                    let compute = driver.compute_seconds - prev_compute;
-                    prev_compute = driver.compute_seconds;
-                    match clock.step(i, compute) {
-                        Some(b) => max_backlog = max_backlog.max(b),
-                        None => {
-                            failure = Some(("buffer overflow", clock.now(i)));
-                            break;
-                        }
-                    }
-                }
-                Err(_) => {
-                    failure = Some(("budget breach", clock.now(i)));
-                    break;
-                }
-            }
-        }
-        match failure {
-            None => {
-                let rec = driver.reconstruct_all().unwrap();
-                println!(
-                    "{:<22} {:>10} {:>14.4} {:>12.1}",
-                    driver.name(),
-                    "ok",
-                    1.0 - final_accuracy(&model, &rec),
-                    max_backlog
-                );
-            }
-            Some((why, t)) => {
-                println!(
-                    "{:<22} {:>10} FAILED at {:.1}s ({})",
-                    driver.name(),
-                    "FAIL",
-                    t,
-                    why
-                );
+                println!("{:<22} {:>10} FAILED at {:.1}s ({})", name, "FAIL", t, why);
             }
         }
     }

@@ -16,4 +16,6 @@ pub mod harness;
 pub mod setup;
 
 pub use harness::{print_table, ratio_sweep, MethodSeries};
-pub use setup::{frozen_model, offline_fixed_pairs, ModelKind, INSTANCE_LEN, SEGMENT_LEN};
+pub use setup::{
+    frozen_model, offline_ml_config, offline_ml_loss, ModelKind, INSTANCE_LEN, SEGMENT_LEN,
+};

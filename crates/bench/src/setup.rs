@@ -1,9 +1,9 @@
-//! Shared experiment setup: frozen models and the baseline pair sets.
+//! Shared experiment setup: frozen models, the stream geometry and the
+//! offline ML figures' pipeline configuration and loss.
 
-use adaedge_codecs::CodecId;
-use adaedge_core::baselines::FixedPair;
+use adaedge_core::{OfflineAdaEdge, OfflineConfig, OptimizationTarget};
 use adaedge_datasets::{CbfConfig, CbfGenerator};
-use adaedge_ml::{Dataset, ForestConfig, KMeansConfig, Model, TreeConfig};
+use adaedge_ml::{metrics, Dataset, ForestConfig, KMeansConfig, Model, TreeConfig};
 
 /// Points per streamed segment (8 CBF instances).
 pub const SEGMENT_LEN: usize = 1024;
@@ -77,21 +77,32 @@ pub fn frozen_model(kind: ModelKind, seed: u64) -> Model {
     }
 }
 
-/// The `lossless_lossy` fixed pairs highlighted in Figures 12–14.
-pub fn offline_fixed_pairs() -> Vec<FixedPair> {
-    vec![
-        FixedPair::new(CodecId::Gzip, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Snappy, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Gorilla, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Sprintz, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Buff, CodecId::BuffLossy),
-        FixedPair::new(CodecId::Sprintz, CodecId::Paa),
-        FixedPair::new(CodecId::Sprintz, CodecId::Pla),
-        FixedPair::new(CodecId::Sprintz, CodecId::Fft),
-        FixedPair::new(CodecId::Sprintz, CodecId::RrdSample),
-        FixedPair::new(CodecId::Gorilla, CodecId::Fft),
-        FixedPair::new(CodecId::Gorilla, CodecId::Pla),
-    ]
+/// The offline pipeline every offline ML figure runs: `budget_bytes` of
+/// storage, recodes scored by `model` on CBF instances.
+pub fn offline_ml_config(budget_bytes: usize, model: &Model) -> OfflineConfig {
+    OfflineConfig {
+        model: Some(model.clone()),
+        instance_len: INSTANCE_LEN,
+        ..OfflineConfig::new(budget_bytes, OptimizationTarget::ml())
+    }
+}
+
+/// ML accuracy loss over everything `edge` stores: each segment's
+/// reconstruction scored against its kept original, instance by instance.
+pub fn offline_ml_loss(model: &Model, edge: &OfflineAdaEdge) -> f64 {
+    let mut orig_rows = Vec::new();
+    let mut lossy_rows = Vec::new();
+    for (_, rec, orig) in edge.reconstruct_all().expect("stored segments decode") {
+        let orig = orig.expect("offline figures keep originals");
+        for (o, l) in orig
+            .chunks_exact(INSTANCE_LEN)
+            .zip(rec.chunks_exact(INSTANCE_LEN))
+        {
+            orig_rows.push(o.to_vec());
+            lossy_rows.push(l.to_vec());
+        }
+    }
+    1.0 - metrics::ml_accuracy(model, &orig_rows, &lossy_rows)
 }
 
 #[cfg(test)]
@@ -105,14 +116,5 @@ mod tests {
             assert_eq!(model.dim(), INSTANCE_LEN);
             assert_eq!(model.name(), kind.name());
         }
-    }
-
-    #[test]
-    fn pairs_cover_the_figures() {
-        let pairs = offline_fixed_pairs();
-        let names: Vec<String> = pairs.iter().map(|p| p.name()).collect();
-        assert!(names.contains(&"gzip_bufflossy".to_string()));
-        assert!(names.contains(&"gorilla_fft".to_string()));
-        assert!(names.contains(&"gorilla_pla".to_string()));
     }
 }

@@ -2,12 +2,18 @@
 //! inside a hard storage budget.
 //!
 //! Incoming segments are compressed with the lossless MAB and stored. When
-//! occupancy crosses `θ × budget` (θ = 0.8 in the paper) the recoding
-//! cascade wakes up: policy-ordered victims are re-compressed to half
-//! their current size by the ratio-banded lossy MAB, same-codec recodes
-//! using virtual decompression. A segment that cannot shrink further is
-//! skipped; the experiment fails only when even the cascade cannot make
-//! room for new data.
+//! occupancy plus the incoming segment would cross `θ × budget` (θ = 0.8
+//! in the paper) the recoding cascade wakes up: policy-ordered victims are
+//! re-compressed to half their current size by the ratio-banded lossy MAB,
+//! same-codec recodes using virtual decompression. A segment that cannot
+//! shrink further is skipped; the experiment fails only when even the
+//! cascade cannot make room for new data.
+//!
+//! This is the one copy of the cascade. The fixed `lossless_lossy` pair
+//! baselines of Figures 12–14 run through it with one arm per roster
+//! ([`crate::baselines::FixedPair::offline_config`]), and the sharded
+//! engine's recoder ([`crate::engine::run_offline_pipeline`]) shares its
+//! room rule, required mean ratio and victim order.
 
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
@@ -185,75 +191,32 @@ impl OfflineAdaEdge {
         self.lossless.greedy_arm()
     }
 
-    /// The mean compression ratio the whole store must reach to fit under
-    /// the recoding threshold. Victims already at or below it should be
-    /// spared while less-compressed victims exist — otherwise the cascade
-    /// goes depth-first on the LRU order and over-compresses old segments
-    /// (damaging accuracy) while fresh segments never share the burden.
-    fn required_mean_ratio(&self) -> f64 {
-        let raw_bytes: usize = self
-            .store
-            .iter()
-            .map(|s| s.n_points() * adaedge_codecs::POINT_BYTES)
-            .sum();
-        if raw_bytes == 0 {
-            return 0.0;
-        }
-        let budget = self.store.budget_bytes().expect("budgeted store") as f64;
-        (self.threshold * budget / raw_bytes as f64).min(1.0)
-    }
-
     /// Recode the least-valuable shrinkable victim once. Returns the bytes
-    /// freed (0 if nothing could shrink).
+    /// freed and the recode's seconds (`(0, 0.0)` if nothing could shrink).
     fn recode_one(&mut self) -> Result<(usize, f64)> {
-        let r_req = self.required_mean_ratio();
-        // Two passes over the LRU order: first only victims still above the
-        // globally required mean ratio, then (if space is still needed)
-        // anything that can shrink.
-        let victims = self.store.victim_order();
-        let mut ordered: Vec<_> = victims
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.store
-                    .peek(id)
-                    .map(|s| s.ratio() > r_req)
-                    .unwrap_or(false)
-            })
-            .collect();
-        ordered.extend(victims.iter().copied().filter(|&id| {
-            self.store
-                .peek(id)
-                .map(|s| s.ratio() <= r_req)
-                .unwrap_or(false)
-        }));
-        for id in ordered {
-            let Some(seg) = self.store.peek(id) else {
-                continue;
-            };
-            let Some(block) = seg.block() else { continue };
+        let r_req = required_mean_ratio(&self.store, self.threshold);
+        let (victims, _) = recode_order(&self.store, r_req, usize::MAX);
+        for id in victims {
+            let seg = self.store.peek(id).expect("victims are stored");
+            let block = seg.block().expect("victims are compressed");
             let old_bytes = block.compressed_bytes();
             // Halve by default (§IV-C2), but never push a victim far below
             // the globally required mean ratio: compressing harder than the
             // budget demands only costs accuracy.
             let target = (seg.ratio() * self.recode_factor).max(r_req.min(seg.ratio() * 0.9));
-            let original = self.originals.as_ref().and_then(|m| m.get(&id)).cloned();
-            let block = block.clone();
+            let original = self.originals.as_ref().and_then(|m| m.get(&id));
             match self
                 .lossy
-                .recode(&self.reg, &block, original.as_deref(), target)
+                .recode(&self.reg, block, original.map(Vec::as_slice), target)
             {
-                Ok(sel) => {
-                    let freed = old_bytes.saturating_sub(sel.block.compressed_bytes());
-                    let seconds = sel.seconds;
+                // Only a strictly smaller block is swapped in and counted.
+                Ok(sel) if sel.block.compressed_bytes() < old_bytes => {
+                    let freed = old_bytes - sel.block.compressed_bytes();
                     self.store.replace(id, sel.block)?;
                     self.total_recodes += 1;
-                    if freed > 0 {
-                        return Ok((freed, seconds));
-                    }
-                    // Shrunk to the same size (shouldn't happen); try next.
+                    return Ok((freed, sel.seconds));
                 }
-                Err(AdaEdgeError::NoFeasibleArm { .. }) => continue,
+                Ok(_) | Err(AdaEdgeError::NoFeasibleArm { .. }) => continue,
                 Err(e) => return Err(e),
             }
         }
@@ -266,12 +229,11 @@ impl OfflineAdaEdge {
         let budget = self
             .store
             .budget_bytes()
-            .expect("offline store always has a budget") as f64;
+            .expect("offline store always has a budget");
         let mut recodes = 0usize;
         let mut seconds = 0.0f64;
         loop {
-            let projected = (self.store.used_bytes() + incoming) as f64;
-            if projected <= self.threshold * budget {
+            if has_room(&self.store, incoming, self.threshold) {
                 return Ok((recodes, seconds));
             }
             let (freed, s) = self.recode_one()?;
@@ -279,13 +241,13 @@ impl OfflineAdaEdge {
             if freed == 0 {
                 // Nothing can shrink further. Accept anything that still
                 // fits the hard budget; otherwise the ingest fails.
-                if projected <= budget {
+                if self.store.used_bytes() + incoming <= budget {
                     return Ok((recodes, seconds));
                 }
                 return Err(AdaEdgeError::Store(
                     adaedge_storage::StoreError::BudgetExceeded {
                         needed: incoming,
-                        available: (budget as usize).saturating_sub(self.store.used_bytes()),
+                        available: budget.saturating_sub(self.store.used_bytes()),
                     },
                 ));
             }
@@ -400,6 +362,66 @@ impl OfflineAdaEdge {
             }
         }
     }
+}
+
+/// The room rule (§IV-C2): `incoming` more bytes may be stored without
+/// recoding while `used + incoming ≤ θ·budget`. Both the single-threaded
+/// pipeline and the sharded engine's recoder wake on it.
+pub(crate) fn has_room(store: &SegmentStore, incoming: usize, threshold: f64) -> bool {
+    let budget = store
+        .budget_bytes()
+        .expect("offline store always has a budget");
+    (store.used_bytes() + incoming) as f64 <= threshold * budget as f64
+}
+
+/// The mean compression ratio the whole store must reach to fit under
+/// `threshold × budget`. Victims already at or below it should be spared
+/// while less-compressed victims exist — otherwise the cascade goes
+/// depth-first on the policy order and over-compresses old segments
+/// (damaging accuracy) while fresh segments never share the burden.
+pub(crate) fn required_mean_ratio(store: &SegmentStore, threshold: f64) -> f64 {
+    let raw_bytes: usize = store
+        .iter()
+        .map(|s| s.n_points() * adaedge_codecs::POINT_BYTES)
+        .sum();
+    if raw_bytes == 0 {
+        return 0.0;
+    }
+    let budget = store
+        .budget_bytes()
+        .expect("offline store always has a budget");
+    (threshold * budget as f64 / raw_bytes as f64).min(1.0)
+}
+
+/// The compressed segments in recoding order (the breadth-first cascade):
+/// the policy's victim order, with every victim still above `r_req` ahead
+/// of those already at or below it. Also returns how many lead the order
+/// (the victims above `r_req`). The scan stops at the `limit`-th victim
+/// above `r_req`, and the order is then just those: a caller that takes
+/// a few victims per pass should not pay a peek for every stored segment.
+pub(crate) fn recode_order(
+    store: &SegmentStore,
+    r_req: f64,
+    limit: usize,
+) -> (Vec<SegmentId>, usize) {
+    let mut above = Vec::new();
+    let mut rest = Vec::new();
+    for id in store.victim_order() {
+        let Some(seg) = store.peek(id).filter(|s| s.block().is_some()) else {
+            continue;
+        };
+        if seg.ratio() <= r_req {
+            rest.push(id);
+        } else {
+            above.push(id);
+            if above.len() == limit {
+                return (above, limit);
+            }
+        }
+    }
+    let n_above = above.len();
+    above.extend(rest);
+    (above, n_above)
 }
 
 #[cfg(test)]

@@ -213,8 +213,8 @@ impl IngestLedger {
 mod tests {
     use super::*;
     use crate::uplink::{
-        run_session, Ack, Capture, PerfectLink, Receiver, SessionReport, Transport, Uplink,
-        UplinkConfig, UplinkFrame,
+        run_session, Ack, Capture, FaultSpec, FaultyLink, Receiver, SessionReport, Transport,
+        Uplink, UplinkConfig, UplinkFrame,
     };
     use adaedge_codecs::CodecRegistry;
     use adaedge_storage::spool::SpoolConfig;
@@ -316,10 +316,10 @@ mod tests {
         assert_eq!(ledger.lost(), (1 << 40) - 3);
     }
 
-    /// A perfect link that checks every frame against the default
+    /// A clean link that checks every frame against the default
     /// payload cap (fragment headers included) and counts frames.
     struct CapCheckedLink {
-        inner: PerfectLink,
+        inner: FaultyLink,
         frames: u64,
     }
 
@@ -349,7 +349,7 @@ mod tests {
         }
     }
 
-    /// A session over `spool` and a perfect link that captures nothing
+    /// A session over `spool` and a clean link that captures nothing
     /// and collects what is released. Every frame fits the payload cap,
     /// and the link saw exactly the frames the sender counted (first
     /// sends, retransmits, probes).
@@ -360,7 +360,7 @@ mod tests {
         max_ticks: u64,
     ) -> (SessionReport, Vec<(u64, Vec<u8>)>) {
         let mut link = CapCheckedLink {
-            inner: PerfectLink::new(1),
+            inner: FaultyLink::new(FaultSpec::clean(1), 0),
             frames: 0,
         };
         let before = up.counters();

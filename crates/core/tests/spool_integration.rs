@@ -13,8 +13,8 @@
 use adaedge_codecs::{CodecId, CodecRegistry, CompressedBlock};
 use adaedge_core::spooling::{decode_block, encode_block, spool_offline_egress};
 use adaedge_core::uplink::{
-    run_session, Ack, Capture, FaultSpec, FaultyLink, PerfectLink, Receiver, SessionReport,
-    Transport, Uplink, UplinkConfig, UplinkFrame,
+    run_session, Ack, Capture, FaultSpec, FaultyLink, Receiver, SessionReport, Transport, Uplink,
+    UplinkConfig, UplinkFrame,
 };
 use adaedge_core::{AggKind, OfflineAdaEdge, OfflineConfig, OptimizationTarget};
 use adaedge_datasets::{CbfConfig, CbfStream, SegmentSource};
@@ -218,7 +218,7 @@ fn forty_eight_hour_disconnect_spools_and_replays_exactly_once() {
         &mut spool,
         &mut up,
         &mut rx,
-        &mut PerfectLink::new(1),
+        &mut FaultyLink::new(FaultSpec::clean(1), 0),
         100_000,
     );
     assert!(report.completed);
@@ -276,7 +276,7 @@ fn forty_eight_hour_disconnect_spools_and_replays_exactly_once() {
         &mut spool,
         &mut Uplink::new(UplinkConfig::default()),
         &mut rx,
-        &mut PerfectLink::new(1),
+        &mut FaultyLink::new(FaultSpec::clean(1), 0),
         100_000,
     );
     assert!(stale.completed);
@@ -335,7 +335,7 @@ fn retention_pressure_surfaces_bounded_disk_loss_in_replay_report() {
         &mut spool,
         &mut Uplink::new(UplinkConfig::default()),
         &mut rx,
-        &mut PerfectLink::new(1),
+        &mut FaultyLink::new(FaultSpec::clean(1), 0),
         100_000,
     );
     assert!(report.completed);
@@ -380,7 +380,7 @@ fn retention_gap_releases_survivors_and_counts_the_range_lost() {
         &mut spool,
         &mut up,
         &mut rx,
-        &mut PerfectLink::new(1),
+        &mut FaultyLink::new(FaultSpec::clean(1), 0),
         1_000,
     );
     assert!(first.completed);

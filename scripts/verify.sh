@@ -67,6 +67,9 @@ cargo run --release -q -p adaedge-bench --bin spool_throughput -- --quick
 echo "==> uplink goodput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin uplink_goodput -- --quick
 
+echo "==> offline figure driver (fig12: mab_mab and the one-arm fixed pairs)"
+cargo run --release -q -p adaedge-bench --bin fig12_offline_kmeans
+
 # perfbench is its own workspace (the repo's benchmark), so the steps
 # above never compile it; these catch a core API change that breaks it.
 # Offline, cargo drops two stale entries from perfbench/Cargo.lock; the

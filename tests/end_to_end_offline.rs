@@ -6,7 +6,6 @@ use adaedge::core::baselines::{CodecDbBaseline, FixedPair};
 use adaedge::core::{OfflineAdaEdge, OfflineConfig, OptimizationTarget, PolicyKind};
 use adaedge::datasets::{CbfConfig, CbfGenerator, CbfStream, SegmentSource};
 use adaedge::ml::{metrics, Dataset, KMeansConfig, Model};
-use adaedge::storage::SegmentStore;
 
 const SEGMENT: usize = 1024;
 const INSTANCE: usize = 128;
@@ -64,72 +63,25 @@ fn mab_beats_a_poor_fixed_pair() {
     let model = kmeans_model();
     let budget = 160 * 1024;
     let n_segments = 120;
-
-    // MAB pipeline.
-    let mut config = OfflineConfig::new(budget, OptimizationTarget::ml());
-    config.model = Some(model.clone());
-    config.instance_len = INSTANCE;
-    let mut mab = OfflineAdaEdge::new(config).unwrap();
-    let mut stream = CbfStream::new(CbfConfig::default(), SEGMENT);
-    for _ in 0..n_segments {
-        mab.ingest(&stream.next_segment()).unwrap();
-    }
-    let mab_acc = offline_accuracy(&mab, &model);
-
-    // A deliberately poor fixed pair: snappy (weak lossless on floats) +
-    // RRD-sample (crude lossy), hand-driven through the same cascade.
-    let reg = CodecRegistry::new(4);
+    let base = || {
+        let mut config = OfflineConfig::new(budget, OptimizationTarget::ml());
+        config.model = Some(model.clone());
+        config.instance_len = INSTANCE;
+        config
+    };
+    // Both methods run the same cascade: the MAB pipeline, and a
+    // deliberately poor fixed pair — snappy (weak lossless on floats) +
+    // RRD-sample (crude lossy) — as the same pipeline with one arm per
+    // roster.
     let pair = FixedPair::new(CodecId::Snappy, CodecId::RrdSample);
-    let mut store = SegmentStore::with_budget(budget);
-    let mut originals = Vec::new();
-    let mut stream = CbfStream::new(CbfConfig::default(), SEGMENT);
-    for _ in 0..n_segments {
-        let data = stream.next_segment();
-        let sel = pair.compress_lossless(&reg, &data).unwrap();
-        let mut incoming = sel.block;
-        // Make room: recode victims to half size until under 0.8 budget.
-        loop {
-            let projected = store.used_bytes() + incoming.compressed_bytes();
-            if (projected as f64) <= 0.8 * budget as f64 {
-                break;
-            }
-            let mut freed = false;
-            for id in store.victim_order() {
-                let seg = store.peek(id).unwrap();
-                let target = seg.ratio() * 0.5;
-                let block = seg.block().unwrap().clone();
-                if let Ok(recoded) = pair.recode(&reg, &block, target) {
-                    if recoded.block.compressed_bytes() < block.compressed_bytes() {
-                        store.replace(id, recoded.block).unwrap();
-                        freed = true;
-                        break;
-                    }
-                }
-            }
-            if !freed {
-                break;
-            }
+    let [mab_acc, pair_acc] = [base(), pair.offline_config(base())].map(|config| {
+        let mut edge = OfflineAdaEdge::new(config).unwrap();
+        let mut stream = CbfStream::new(CbfConfig::default(), SEGMENT);
+        for _ in 0..n_segments {
+            edge.ingest(&stream.next_segment()).unwrap();
         }
-        // Snappy can exceed ratio 1.0 on floats; if the put fails the pair
-        // baseline has effectively failed, mirroring the paper's failures.
-        if incoming.ratio() > 1.0 {
-            incoming = reg.get(CodecId::Raw).compress(&data).unwrap();
-        }
-        store.put_compressed(incoming).unwrap();
-        originals.push(data);
-    }
-    let mut orig_rows = Vec::new();
-    let mut lossy_rows = Vec::new();
-    for (id, orig) in store.ids().into_iter().zip(&originals) {
-        let rec = reg
-            .decompress(store.peek(id).unwrap().block().unwrap())
-            .unwrap();
-        for (o, l) in orig.chunks_exact(INSTANCE).zip(rec.chunks_exact(INSTANCE)) {
-            orig_rows.push(o.to_vec());
-            lossy_rows.push(l.to_vec());
-        }
-    }
-    let pair_acc = metrics::ml_accuracy(&model, &orig_rows, &lossy_rows);
+        offline_accuracy(&edge, &model)
+    });
 
     assert!(
         mab_acc >= pair_acc,

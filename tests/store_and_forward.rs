@@ -9,7 +9,8 @@ use adaedge::codecs::faultkit;
 use adaedge::codecs::CodecRegistry;
 use adaedge::core::spooling::{decode_block, spool_offline_egress};
 use adaedge::core::uplink::{
-    run_session, Ack, Capture, PerfectLink, Receiver, Transport, Uplink, UplinkConfig, UplinkFrame,
+    run_session, Ack, Capture, FaultSpec, FaultyLink, Receiver, Transport, Uplink, UplinkConfig,
+    UplinkFrame,
 };
 use adaedge::core::{AggKind, OfflineAdaEdge, OfflineConfig, OptimizationTarget};
 use adaedge::datasets::{CbfConfig, CbfStream, SegmentSource};
@@ -28,10 +29,10 @@ fn tmpdir() -> PathBuf {
     p
 }
 
-/// A perfect link that checks every frame against the default payload
+/// A clean link that checks every frame against the default payload
 /// cap (fragment headers included) and counts the frames sent.
 struct CapCheckedLink {
-    inner: PerfectLink,
+    inner: FaultyLink,
     frames: u64,
 }
 
@@ -108,7 +109,7 @@ fn disconnect_crash_reconnect_delivers_every_segment_exactly_once() {
     let mut rx = Receiver::new();
     let mut released = Vec::new();
     let mut link = CapCheckedLink {
-        inner: PerfectLink::new(1),
+        inner: FaultyLink::new(FaultSpec::clean(1), 0),
         frames: 0,
     };
     let report = run_session(
@@ -147,7 +148,7 @@ fn disconnect_crash_reconnect_delivers_every_segment_exactly_once() {
         &mut spool,
         &mut Uplink::new(UplinkConfig::default()),
         &mut rx,
-        &mut PerfectLink::new(1),
+        &mut FaultyLink::new(FaultSpec::clean(1), 0),
         10_000,
         |_| Capture::Done,
         |seq, _| panic!("seq {seq} released twice"),
