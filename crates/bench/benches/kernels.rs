@@ -6,10 +6,15 @@
 //! what the engine actually moves (segment payloads of a few KB).
 //! `pack_run`/`unpack_run` are benched at widths 7 and 12 — inside the
 //! AVX2 fast-path range and typical of Sprintz delta lanes; `quantize`
-//! has no SIMD tier and keeps its single fused row.
+//! has no SIMD tier and keeps its single fused row. The FFT and inflate
+//! rows have no tiers either: they time the offline recoder's lossy FFT
+//! arm at the engine's 1000-point segment (Bluestein) and at 1024
+//! (radix-2), and the Huffman decode of a 1000-point Gzip block.
 
+use adaedge_codecs::fft::{dft, idft_inplace, Complex};
 use adaedge_codecs::simd;
 use adaedge_codecs::util::quantize_into;
+use adaedge_codecs::{CodecId, CodecRegistry, CodecScratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
@@ -181,12 +186,59 @@ fn bench_quantize(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fft(c: &mut Criterion) {
+    let mut group = quick(c);
+    for n in [N_POINTS, 1024] {
+        group.throughput(Throughput::Bytes((n * 8) as u64));
+        let signal: Vec<Complex> = smooth_points(n)
+            .into_iter()
+            .map(|v| Complex::new(v, 0.0))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("fft_forward", n), &signal, |b, signal| {
+            b.iter(|| black_box(dft(signal)))
+        });
+        let spectrum = dft(&signal);
+        group.bench_with_input(
+            BenchmarkId::new("fft_inverse", n),
+            &spectrum,
+            |b, spectrum| {
+                let mut buf = spectrum.clone();
+                b.iter(|| {
+                    buf.copy_from_slice(spectrum);
+                    idft_inplace(&mut buf);
+                    black_box(buf[0])
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+fn bench_inflate(c: &mut Criterion) {
+    let mut group = quick(c);
+    group.throughput(Throughput::Bytes((N_POINTS * 8) as u64));
+    let reg = CodecRegistry::new(4);
+    let gzip = reg.get(CodecId::Gzip);
+    let block = gzip.compress(&smooth_points(N_POINTS)).unwrap();
+    group.bench_with_input(BenchmarkId::new("inflate", "gzip"), &block, |b, block| {
+        let mut scratch = CodecScratch::new();
+        let mut out = Vec::with_capacity(N_POINTS);
+        b.iter(|| {
+            gzip.decompress_into(block, &mut scratch, &mut out).unwrap();
+            black_box(out.last().copied())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_crc32c,
     bench_match_extend,
     bench_pack_unpack,
     bench_transforms,
-    bench_quantize
+    bench_quantize,
+    bench_fft,
+    bench_inflate
 );
 criterion_main!(benches);

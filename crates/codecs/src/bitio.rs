@@ -281,6 +281,22 @@ impl<'a> BitReader<'a> {
         Ok(self.extract_unchecked(nbits))
     }
 
+    /// Look at the next `nbits` (1..=64) bits without moving the cursor, or
+    /// `None` when fewer than `nbits` remain.
+    #[inline]
+    pub(crate) fn peek_bits(&self, nbits: u32) -> Option<u64> {
+        debug_assert!((1..=64).contains(&nbits));
+        (self.remaining() >= nbits as usize).then(|| extract_at(self.buf, self.pos, nbits))
+    }
+
+    /// Advance the cursor by `nbits`, the length of a field already seen
+    /// through [`peek_bits`](Self::peek_bits).
+    #[inline]
+    pub(crate) fn consume(&mut self, nbits: u32) {
+        debug_assert!(nbits as usize <= self.remaining());
+        self.pos += nbits as usize;
+    }
+
     /// Fill `out` with consecutive values of the same fixed `width`.
     ///
     /// Bit-identical to calling [`read_bits`](Self::read_bits) once per
@@ -539,6 +555,28 @@ mod tests {
         assert_eq!(r.read_bits(8).unwrap(), 0);
         assert!(r.read_bit().is_err());
         assert!(r.read_bits(1).is_err());
+    }
+
+    #[test]
+    fn peek_then_consume_equals_read() {
+        let bytes = [0b1011_0011u8, 0x5A, 0xC3];
+        let mut peeker = BitReader::new(&bytes);
+        let mut reader = BitReader::new(&bytes);
+        for width in [3u32, 7, 1, 10] {
+            let peeked = peeker.peek_bits(width).unwrap();
+            assert_eq!(
+                peeker.peek_bits(width),
+                Some(peeked),
+                "peek moved the cursor"
+            );
+            peeker.consume(width);
+            assert_eq!(peeked, reader.read_bits(width).unwrap());
+            assert_eq!(peeker.bit_pos(), reader.bit_pos());
+        }
+        assert_eq!(peeker.peek_bits(4), None);
+        assert_eq!(peeker.peek_bits(3), Some(0b011));
+        peeker.consume(3);
+        assert_eq!(peeker.remaining(), 0);
     }
 
     #[test]

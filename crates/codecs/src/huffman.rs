@@ -5,6 +5,8 @@
 //! Huffman tree, then clamped to `MAX_CODE_LEN` with a Kraft-sum repair
 //! pass, and finally turned into canonical codes (shorter codes first,
 //! ties by symbol index) so only the lengths need to be transmitted.
+//! Decoding resolves codes of up to 10 bits with one table lookup and
+//! walks longer (or invalid) ones bit by bit.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::error::{CodecError, Result};
@@ -250,9 +252,18 @@ impl Encoder {
     }
 }
 
-/// Canonical decoder driven by per-length first-code tables.
+/// Bits the decoder's first-level lookup table resolves at once.
+const TABLE_BITS: u32 = 10;
+
+/// Canonical decoder: a `2^TABLE_BITS`-entry lookup table resolves every
+/// code of up to [`TABLE_BITS`] bits in one step, and the per-length
+/// first-code tables decode the rest bit by bit.
 #[derive(Debug, Clone, Default)]
 pub struct Decoder {
+    /// Indexed by the next `TABLE_BITS` bits of the stream:
+    /// `(symbol << 4) | len` for the code they start with, or 0 when the
+    /// bit-serial walk must decide (a longer code or an invalid one).
+    table: Vec<u32>,
     /// For each length: (first code, first index into `symbols`).
     first_code: [u32; (MAX_CODE_LEN + 1) as usize],
     first_index: [u32; (MAX_CODE_LEN + 1) as usize],
@@ -303,12 +314,60 @@ impl Decoder {
         self.first_code = first_code;
         self.first_index = first_index;
         self.count = count;
+        self.rebuild_table();
         Ok(())
+    }
+
+    /// Fill the lookup table with every code of up to `TABLE_BITS` bits.
+    ///
+    /// Each entry is written at most once: canonical codes one bit longer
+    /// start at `(first + count) << 1`, past every shorter code's prefix,
+    /// so spans never overlap. An over-subscribed (corrupt) length set
+    /// only pushes codes past `2^len`, where no `len`-bit stream can reach
+    /// them; they are skipped, and the slots nobody claims stay 0 for the
+    /// bit-serial walk to reject.
+    fn rebuild_table(&mut self) {
+        self.table.clear();
+        self.table.resize(1 << TABLE_BITS, 0);
+        for len in 1..=TABLE_BITS {
+            let shift = TABLE_BITS - len;
+            let first = self.first_code[len as usize];
+            let index = self.first_index[len as usize];
+            for i in 0..self.count[len as usize] {
+                let code = first + i;
+                if code >= 1 << len {
+                    break;
+                }
+                let entry = (self.symbols[(index + i) as usize] << 4) | len;
+                let span = (code << shift) as usize..((code + 1) << shift) as usize;
+                let slots = &mut self.table[span];
+                debug_assert!(slots.iter().all(|&e| e == 0), "code spans overlap");
+                slots.fill(entry);
+            }
+        }
     }
 
     /// Decode one symbol.
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<u32> {
+        if let Some(&entry) = r
+            .peek_bits(TABLE_BITS)
+            .and_then(|bits| self.table.get(bits as usize))
+        {
+            if entry != 0 {
+                r.consume(entry & 0xF);
+                return Ok(entry >> 4);
+            }
+        }
+        self.read_bitwise(r)
+    }
+
+    /// Decode one symbol one bit at a time. This is the reference that
+    /// [`read`] must agree with, and the only path that reports corrupt
+    /// codes.
+    ///
+    /// [`read`]: Self::read
+    pub(crate) fn read_bitwise(&self, r: &mut BitReader<'_>) -> Result<u32> {
         let mut code = 0u32;
         for len in 1..=MAX_CODE_LEN as usize {
             code = (code << 1) | (r.read_bit()? as u32);
@@ -347,6 +406,7 @@ pub struct HuffScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip_symbols(freqs: &[u64], stream: &[usize]) {
         let enc = Encoder::from_freqs(freqs);
@@ -448,5 +508,49 @@ mod tests {
     fn empty_freqs_yield_empty_code() {
         let lens = code_lengths(&[0, 0, 0]);
         assert!(lens.iter().all(|&l| l == 0));
+    }
+
+    /// Code-length sets of every shape the decoder can be built from:
+    /// complete (from real frequencies), random lengths up to 15 (mostly
+    /// incomplete or over-subscribed), only codes of 9 to 15 bits (so most
+    /// reads miss the table), all-zero, and single-symbol.
+    fn length_sets() -> impl Strategy<Value = Vec<u32>> {
+        prop_oneof![
+            prop::collection::vec(0u64..50, 1..300).prop_map(|freqs| code_lengths(&freqs)),
+            prop::collection::vec(0u32..=MAX_CODE_LEN, 1..300),
+            prop::collection::vec(prop_oneof![Just(0u32), 9u32..=MAX_CODE_LEN], 1..300),
+            (1usize..300).prop_map(|n| vec![0; n]),
+            (1usize..300, 0u32..=MAX_CODE_LEN).prop_map(|(n, len)| {
+                let mut lens = vec![0; n];
+                lens[n / 2] = len;
+                lens
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_read_matches_bit_serial_reference(
+            lens in length_sets(),
+            bytes in prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..2),
+                prop::collection::vec(any::<u8>(), 0..64),
+            ],
+        ) {
+            let dec = Decoder::from_lens(&lens).unwrap();
+            let mut fast = BitReader::new(&bytes);
+            let mut reference = BitReader::new(&bytes);
+            loop {
+                let got = dec.read(&mut fast);
+                let want = dec.read_bitwise(&mut reference);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(fast.bit_pos(), reference.bit_pos());
+                if got.is_err() {
+                    break;
+                }
+            }
+        }
     }
 }

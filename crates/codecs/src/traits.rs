@@ -45,7 +45,9 @@ pub trait Codec: Send + Sync {
     /// compresses with zero steady-state heap allocations.
     ///
     /// The default implementation falls back to the allocating
-    /// [`Codec::compress`]; every built-in codec overrides it natively.
+    /// [`Codec::compress`]. Every built-in codec overrides it natively
+    /// except FFT, PLA and LTTB, which have no buffer-reuse win and keep
+    /// this default.
     fn compress_into<'a>(
         &self,
         data: &[f64],

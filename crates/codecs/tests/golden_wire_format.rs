@@ -5,10 +5,12 @@
 //! (such as the word-at-a-time rewrite) must keep every codec's compressed
 //! output byte-identical, and these tests prove it: a scripted mixed-op
 //! writer sequence is pinned literally, and each bit-oriented codec's payload
-//! over a fixed signal is pinned by length + FNV-1a hash.
+//! over a fixed signal is pinned by length + FNV-1a hash. The FFT arm's
+//! payloads and decoded floats are pinned the same way, so its transforms
+//! stay bit-identical.
 
 use adaedge_codecs::bitio::BitWriter;
-use adaedge_codecs::{CodecId, CodecRegistry};
+use adaedge_codecs::{CodecId, CodecRegistry, CompressedBlock};
 
 /// FNV-1a 64-bit hash, enough to detect any byte-level change.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -184,6 +186,65 @@ fn golden_codec_payloads() {
             (payload.len(), fnv1a(payload)),
             (*glen, *ghash),
             "{id:?}: compressed payload diverged from the golden wire format"
+        );
+    }
+}
+
+/// FNV-1a over the bit patterns of decoded floats, so a one-ulp change in
+/// the inverse transform shows up.
+fn fnv1a_f64s(values: &[f64]) -> u64 {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+/// Expected (label, length, fnv1a) for the FFT arm: payloads pin the
+/// forward transform, decoded rows pin the inverse one. n=512 runs the
+/// radix-2 path, n=1000 (the engine's segment length) Bluestein's.
+const FFT_GOLDENS: &[(&str, usize, u64)] = &[
+    ("n512_r0.15", 608, 0x7534_5219_0dc1_4202),
+    ("n512_r0.15_decoded", 4096, 0x525f_bb8e_d8ef_0703),
+    ("n1000_r0.15", 1200, 0x3687_9e26_7151_cd95),
+    ("n1000_r0.15_decoded", 8000, 0xf542_1517_c68e_46b9),
+    ("n1000_recode_r0.05", 400, 0xc9d1_a8de_1533_6286),
+    ("n1000_recode_r0.05_decoded", 8000, 0x3f75_f9eb_c2ad_e6ed),
+];
+
+fn fft_outputs() -> Vec<(&'static str, usize, u64)> {
+    let reg = CodecRegistry::new(4);
+    let fft = reg.get_lossy(CodecId::Fft).unwrap();
+    let mut out = Vec::new();
+    let mut push_block = |label_payload, label_decoded, block: &CompressedBlock| {
+        out.push((label_payload, block.payload.len(), fnv1a(&block.payload)));
+        let decoded = reg.get(CodecId::Fft).decompress(block).unwrap();
+        out.push((label_decoded, decoded.len() * 8, fnv1a_f64s(&decoded)));
+    };
+    let radix2 = fft.compress_to_ratio(&signal(512), 0.15).unwrap();
+    push_block("n512_r0.15", "n512_r0.15_decoded", &radix2);
+    let bluestein = fft.compress_to_ratio(&signal(1000), 0.15).unwrap();
+    push_block("n1000_r0.15", "n1000_r0.15_decoded", &bluestein);
+    let recoded = fft.recode(&bluestein, 0.05).unwrap();
+    push_block("n1000_recode_r0.05", "n1000_recode_r0.05_decoded", &recoded);
+    out
+}
+
+#[test]
+fn golden_fft_transforms() {
+    let outputs = fft_outputs();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        for (label, len, hash) in &outputs {
+            println!("(\"{label}\", {len}, 0x{hash:016x}),");
+        }
+        return;
+    }
+    assert_eq!(outputs.len(), FFT_GOLDENS.len());
+    for ((label, len, hash), golden) in outputs.iter().zip(FFT_GOLDENS) {
+        assert_eq!(
+            (*label, *len, *hash),
+            *golden,
+            "{label}: FFT output diverged from the golden values"
         );
     }
 }
