@@ -1,9 +1,11 @@
 //! §V-C scalability claim: AdaEdge sustains ≈8 M points/s of adaptive
 //! lossless selection with 8 threads while adhering to constraints.
 //!
-//! Drives the multithreaded engine (bounded uncompressed buffer, shared
-//! MAB selector) with 1–8 compression threads and reports achieved
-//! throughput and buffer spills.
+//! Drives the sharded engine (bounded uncompressed buffer, one replica
+//! MAB selector per shard, delta-synced through a shared outcome table)
+//! with 1–8 compression threads and reports achieved throughput and
+//! buffer spills. Rows with more threads than host cores are
+//! oversubscribed: they time-slice, so they show no extra scaling.
 //!
 //! Run: `cargo run --release -p adaedge-bench --bin scalability`
 

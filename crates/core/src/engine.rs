@@ -27,7 +27,7 @@
 //! scheduling exactly — the bandit-exact mode the equivalence tests pin.
 
 use crate::error::Result;
-use crate::offline::{has_room, recode_order, required_mean_ratio};
+use crate::offline::{has_room, recode_order, required_mean_ratio, RECODE_FACTOR};
 use crate::selector::{ArmOutcome, SelectorConfig};
 use crate::shard::{
     join_all, lock, wait_timeout, Batch, Producer, ReplicaSelector, ShardedRuntime,
@@ -458,7 +458,7 @@ pub fn run_offline_pipeline(
                             // workers wait to put. On the offline benchmark
                             // that cost about 14% of records/s at the same
                             // egress ratio.
-                            (id, block, seg.ratio() * 0.5)
+                            (id, block, seg.ratio() * RECODE_FACTOR)
                         })
                         .collect::<Vec<_>>()
                 };

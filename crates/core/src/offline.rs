@@ -13,7 +13,7 @@
 //! baselines of Figures 12–14 run through it with one arm per roster
 //! ([`crate::baselines::FixedPair::offline_config`]), and the sharded
 //! engine's recoder ([`crate::engine::run_offline_pipeline`]) shares its
-//! room rule, required mean ratio and victim order.
+//! halving factor, room rule, required mean ratio and victim order.
 
 use crate::error::{AdaEdgeError, Result};
 use crate::selector::{BandedLossySelector, LosslessSelector, Selection, SelectorConfig};
@@ -52,9 +52,6 @@ pub struct OfflineConfig {
     pub storage_budget_bytes: usize,
     /// Recoding trigger as a fraction of the budget (paper: 0.8).
     pub recode_threshold: f64,
-    /// Each recoding pass shrinks a victim to this fraction of its current
-    /// size (paper: 0.5 — "reduced to half").
-    pub recode_factor: f64,
     /// Lossless candidate arms.
     pub lossless_arms: Vec<CodecId>,
     /// Lossy candidate arms.
@@ -85,7 +82,6 @@ impl OfflineConfig {
         Self {
             storage_budget_bytes,
             recode_threshold: 0.8,
-            recode_factor: 0.5,
             lossless_arms: CodecRegistry::lossless_candidates(),
             lossy_arms: CodecRegistry::lossy_candidates(),
             selector: SelectorConfig::offline(),
@@ -125,7 +121,6 @@ pub struct OfflineAdaEdge {
     lossless: LosslessSelector,
     lossy: BandedLossySelector,
     threshold: f64,
-    recode_factor: f64,
     originals: Option<HashMap<SegmentId, Vec<f64>>>,
     total_recodes: u64,
 }
@@ -145,9 +140,6 @@ impl OfflineAdaEdge {
         if !(0.0..=1.0).contains(&config.recode_threshold) {
             return Err(AdaEdgeError::Config("recode_threshold must be in [0,1]"));
         }
-        if !(0.0..1.0).contains(&config.recode_factor) || config.recode_factor == 0.0 {
-            return Err(AdaEdgeError::Config("recode_factor must be in (0,1)"));
-        }
         let evaluator = RewardEvaluator::new(config.target, config.model, config.instance_len);
         Ok(Self {
             reg: CodecRegistry::new(config.precision),
@@ -160,7 +152,6 @@ impl OfflineAdaEdge {
                 config.band_edges,
             ),
             threshold: config.recode_threshold,
-            recode_factor: config.recode_factor,
             originals: config.keep_originals.then(HashMap::new),
             total_recodes: 0,
         })
@@ -203,7 +194,7 @@ impl OfflineAdaEdge {
             // Halve by default (§IV-C2), but never push a victim far below
             // the globally required mean ratio: compressing harder than the
             // budget demands only costs accuracy.
-            let target = (seg.ratio() * self.recode_factor).max(r_req.min(seg.ratio() * 0.9));
+            let target = (seg.ratio() * RECODE_FACTOR).max(r_req.min(seg.ratio() * 0.9));
             let original = self.originals.as_ref().and_then(|m| m.get(&id));
             match self
                 .lossy
@@ -363,6 +354,11 @@ impl OfflineAdaEdge {
         }
     }
 }
+
+/// Each recoding pass shrinks a victim to this fraction of its current
+/// size (§IV-C2: "reduced to half"). Both the single-threaded pipeline and
+/// the sharded engine's recoder aim at it.
+pub(crate) const RECODE_FACTOR: f64 = 0.5;
 
 /// The room rule (§IV-C2): `incoming` more bytes may be stored without
 /// recoding while `used + incoming ≤ θ·budget`. Both the single-threaded
@@ -525,9 +521,6 @@ mod tests {
     fn config_validation() {
         let mut c = OfflineConfig::new(1000, OptimizationTarget::agg(AggKind::Sum));
         c.recode_threshold = 1.5;
-        assert!(OfflineAdaEdge::new(c).is_err());
-        let mut c = OfflineConfig::new(1000, OptimizationTarget::agg(AggKind::Sum));
-        c.recode_factor = 1.0;
         assert!(OfflineAdaEdge::new(c).is_err());
     }
 

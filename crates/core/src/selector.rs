@@ -4,7 +4,8 @@
 //! `1 − ratio`); [`LossySelector`] maximizes the configured optimization
 //! target at a required ratio, masking arms whose floor is above the
 //! target; [`BandedLossySelector`] keeps one MAB instance per
-//! compression-ratio band for offline recoding.
+//! compression-ratio band and only recodes blocks already stored (offline
+//! mode, where fresh points enter through the lossless selector).
 
 use crate::error::{AdaEdgeError, Result};
 use crate::targets::RewardEvaluator;
@@ -643,52 +644,6 @@ impl BandedLossySelector {
         self.bands.instantiated()
     }
 
-    /// Compress fresh points (or re-compress a decoded segment) to `ratio`
-    /// using the band owning that ratio.
-    pub fn compress_to_ratio(
-        &mut self,
-        reg: &CodecRegistry,
-        data: &[f64],
-        ratio: f64,
-    ) -> Result<Selection> {
-        let mut mask = feasibility_mask(reg, &self.arms, data.len(), ratio);
-        for _ in 0..self.arms.len() {
-            if mask.iter().all(|&m| !m) {
-                return Err(AdaEdgeError::NoFeasibleArm {
-                    target_ratio: ratio,
-                });
-            }
-            let arm = self.bands.select(ratio, Some(&mask), &mut self.rng);
-            match lossy_attempt(
-                reg,
-                self.arms[arm],
-                data,
-                ratio,
-                &mut self.evaluator,
-                &mut self.scratch,
-                &mut self.buf,
-            ) {
-                Ok((block, seconds, reward)) => {
-                    self.bands.update(ratio, arm, reward);
-                    return Ok(Selection {
-                        codec: self.arms[arm],
-                        block,
-                        seconds,
-                        reward,
-                    });
-                }
-                Err(CodecError::RatioUnreachable { .. }) => {
-                    self.bands.update(ratio, arm, 0.0);
-                    mask[arm] = false;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Err(AdaEdgeError::NoFeasibleArm {
-            target_ratio: ratio,
-        })
-    }
-
     /// Report a batch of `(arm, reward)` updates into the band owning
     /// `ratio`, in order, exactly as K sequential `update` calls.
     /// [`Self::recode`] accumulates its per-attempt scores locally and
@@ -1022,8 +977,12 @@ mod tests {
             evaluator,
         );
         let data = smooth(1000);
-        let first = sel.compress_to_ratio(&reg, &data, 0.4).unwrap();
-        let recoded = sel.recode(&reg, &first.block, Some(&data), 0.1).unwrap();
+        let first = reg
+            .get_lossy(CodecId::Paa)
+            .unwrap()
+            .compress_to_ratio(&data, 0.4)
+            .unwrap();
+        let recoded = sel.recode(&reg, &first, Some(&data), 0.1).unwrap();
         assert_eq!(recoded.codec, CodecId::Paa);
         assert!(recoded.block.ratio() <= 0.1 + 1e-9);
     }
@@ -1038,9 +997,14 @@ mod tests {
             evaluator,
         );
         let data = smooth(1000);
-        sel.compress_to_ratio(&reg, &data, 0.4).unwrap();
+        let block = reg
+            .get_lossy(CodecId::Paa)
+            .unwrap()
+            .compress_to_ratio(&data, 0.8)
+            .unwrap();
+        sel.recode(&reg, &block, Some(&data), 0.4).unwrap();
         assert_eq!(sel.instantiated_bands(), 1);
-        sel.compress_to_ratio(&reg, &data, 0.05).unwrap();
+        sel.recode(&reg, &block, Some(&data), 0.05).unwrap();
         assert_eq!(sel.instantiated_bands(), 2);
     }
 

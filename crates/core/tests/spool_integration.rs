@@ -86,6 +86,9 @@ impl Transport for CapChecked<'_> {
     }
 }
 
+/// Released records as `(seq, payload)`, in release order.
+type Released = Vec<(u64, Vec<u8>)>;
+
 /// Drain the spool backlog over `link` (no new captures), returning the
 /// report, the released records, each checked to decode end to end, and
 /// the sequences whose last fragment was sent. Every frame on the wire
@@ -97,7 +100,7 @@ fn drain(
     rx: &mut Receiver,
     link: &mut dyn Transport,
     max_ticks: u64,
-) -> (SessionReport, Vec<(u64, Vec<u8>)>, Vec<u64>) {
+) -> (SessionReport, Released, Vec<u64>) {
     let registry = CodecRegistry::new(4);
     let mut released = Vec::new();
     let before = up.counters();

@@ -13,8 +13,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -55,12 +55,6 @@ cargo test --release -q -p adaedge-core --test uplink_chaos
 echo "==> frame packer NACK-requeue proptests"
 cargo test --release -q -p adaedge-core --test frame_packer_props
 
-echo "==> engine throughput smoke (--quick)"
-cargo run --release -q -p adaedge-bench --bin engine_throughput -- --quick
-
-echo "==> fleet throughput smoke (1k streams, --quick)"
-cargo run --release -q -p adaedge-bench --bin fleet_throughput -- --quick
-
 echo "==> spool throughput smoke (--quick)"
 cargo run --release -q -p adaedge-bench --bin spool_throughput -- --quick
 
@@ -84,5 +78,12 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-di
 
 echo "==> perfbench unit tests (release)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
+# Each workload checks its own outputs (byte conservation, exactly-once
+# delivery, the storage budget) and exits non-zero when a check fails.
+for workload in engine_shift fleet_gateway uplink_lossy offline_budget; do
+    echo "==> perfbench smoke: $workload (1 s, checked outputs)"
+    target/perfbench/release/adaedge-perfbench --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
 
 echo "verify: OK"
